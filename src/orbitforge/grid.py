@@ -1,15 +1,15 @@
-"""Voxel scene representation and interpolation helpers.
+"""Voxel scene representation.
 
 A SceneGrid stores a scalar field (density or signed distance) plus RGB
 albedo on an n^3 lattice of nodes spanning the unit cube [-0.5, 0.5]^3,
 node spacing 1/(n-1).  SDF grids carry the sigmoid parameters that turn
-signed distance into density.
+signed distance into density.  The trilinear gather over the nodes and
+its adjoint scatter live in the render kernel (``_render_np``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -18,9 +18,6 @@ __all__ = [
     "SceneGrid",
     "ImageBundle",
     "sdf_to_density",
-    "grid_coords",
-    "trilinear_interp",
-    "trilinear_scatter",
     "node_gradient",
 ]
 
@@ -58,10 +55,16 @@ class SceneGrid:
             raise ValueError("field must be cubic with resolution >= 2")
         if self.albedo.shape != (n, n, n, 3):
             raise ValueError("albedo must be (n, n, n, 3)")
-        if self.kind == "density" and np.any(self.field < 0.0):
+        # min and max propagate NaN, so these bounds also reject non-finite values.
+        lo, hi = self.field.min(), self.field.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("field must be finite")
+        if self.kind == "density" and lo < 0.0:
             raise ValueError("density field must be >= 0")
-        if np.any(self.albedo < 0.0) or np.any(self.albedo > 1.0):
+        if not (self.albedo.min() >= 0.0 and self.albedo.max() <= 1.0):
             raise ValueError("albedo must lie in [0, 1]")
+        if not (np.isfinite(self.sdf_alpha) and np.isfinite(self.sdf_beta)):
+            raise ValueError("sdf_alpha and sdf_beta must be finite")
         if self.kind == "sdf" and (self.sdf_alpha <= 0.0 or self.sdf_beta <= 0.0):
             raise ValueError("sdf grids need positive alpha and beta")
 
@@ -72,10 +75,6 @@ class SceneGrid:
     @property
     def spacing(self):
         return 1.0 / (self.resolution - 1)
-
-    @property
-    def node_positions_1d(self):
-        return np.linspace(-0.5, 0.5, self.resolution)
 
     def density_field(self):
         """Density per node (sigmoid-mapped for SDF grids)."""
@@ -114,68 +113,6 @@ class ImageBundle:
     @property
     def valid(self):
         return (self.mask >= self.VALID_MASK) & np.isfinite(self.depth)
-
-
-def grid_coords(points, resolution):
-    """World positions in [-0.5, 0.5]^3 to continuous node coordinates."""
-    pts = np.asarray(points, dtype=np.float64)
-    return (pts + 0.5) * (resolution - 1)
-
-
-def _corner_indices_weights(points, resolution):
-    g = np.clip(grid_coords(points, resolution), 0.0, resolution - 1 - 1e-9)
-    i0 = np.floor(g).astype(np.int64)
-    frac = g - i0
-    return i0, frac
-
-
-def trilinear_interp(values, points):
-    """Trilinear interpolation of node values at world-space points.
-
-    ``values`` is (n, n, n) or (n, n, n, c); points outside the cube clamp
-    to the boundary.
-    """
-    values = np.asarray(values)
-    n = values.shape[0]
-    i0, f = _corner_indices_weights(points, n)
-    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-    if values.ndim == 4:
-        fx, fy, fz = fx[..., None], fy[..., None], fz[..., None]
-    out = 0.0
-    for dx, wx in ((0, 1 - fx), (1, fx)):
-        for dy, wy in ((0, 1 - fy), (1, fy)):
-            for dz, wz in ((0, 1 - fz), (1, fz)):
-                out = out + values[x0 + dx, y0 + dy, z0 + dz] * (wx * wy * wz)
-    return out
-
-
-def trilinear_scatter(grads, points, resolution, channels=None):
-    """Adjoint of trilinear_interp: accumulate per-point gradients to nodes."""
-    grads = np.asarray(grads, dtype=np.float64)
-    i0, f = _corner_indices_weights(points, resolution)
-    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-    n = resolution
-    if channels is None:
-        out = np.zeros(n * n * n)
-    else:
-        out = np.zeros((n * n * n, channels))
-    for dx, wx in ((0, 1 - fx), (1, fx)):
-        for dy, wy in ((0, 1 - fy), (1, fy)):
-            for dz, wz in ((0, 1 - fz), (1, fz)):
-                idx = ((x0 + dx) * n + (y0 + dy)) * n + (z0 + dz)
-                w = wx * wy * wz
-                if channels is None:
-                    out += np.bincount(idx, weights=grads * w, minlength=n * n * n)
-                else:
-                    for c in range(channels):
-                        out[:, c] += np.bincount(
-                            idx, weights=grads[:, c] * w, minlength=n * n * n
-                        )
-    if channels is None:
-        return out.reshape(n, n, n)
-    return out.reshape(n, n, n, channels)
 
 
 def node_gradient(field, spacing):

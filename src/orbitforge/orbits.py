@@ -50,6 +50,8 @@ class CameraPose:
         e = float(self.elevation_deg)
         if not -90.0 <= e <= 90.0:
             raise ValueError(f"elevation {e} outside [-90, 90]")
+        if not math.isfinite(float(self.azimuth_deg)):
+            raise ValueError(f"azimuth {self.azimuth_deg} is not finite")
         a = math.fmod(float(self.azimuth_deg), 360.0)
         if a < 0.0:
             a += 360.0
@@ -235,8 +237,8 @@ class Camera:
     height: int = 64
 
     def __post_init__(self):
-        if self.distance <= 0.0:
-            raise ValueError("camera distance must be positive")
+        if not 0.0 < self.distance < math.inf:
+            raise ValueError("camera distance must be positive and finite")
         if not 0.0 < self.fov_deg < 180.0:
             raise ValueError("fov must be in (0, 180)")
         if self.width < 1 or self.height < 1:

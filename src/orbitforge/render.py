@@ -6,35 +6,29 @@ opacities 1 - exp(-density * dt).  Sample colors are albedo times the
 environment irradiance evaluated at the local field-gradient normal.
 Backward: exact reverse-mode derivatives of the compositing chain with
 respect to the field, the albedo, and the light amplitudes; shading
-normals are treated as constants (stop-gradient), and normal-dependent
-losses get their own screened derivative path on surface pixels (see
-``recon``).
+normals are treated as constants (stop-gradient).
 
 Irradiance is evaluated through a bilinear lat-long lookup table built
 from the spherical-Gaussian envmap once per parameter update; the table
 is exactly linear in the lobe amplitudes, which makes the amplitude
 adjoint a single basis contraction.
 
-The hot loops live in a compiled Cython kernel when available, with a
-NumPy fallback selected at import; set ORBITFORGE_RENDER_BACKEND to
-``numpy`` or ``cython`` to force one.
+The ray march itself lives in the NumPy kernel ``_render_np``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import _render_np
-from .grid import ImageBundle, SceneGrid, node_gradient, trilinear_interp
+from .grid import ImageBundle, SceneGrid, node_gradient
 from .orbits import Camera, camera_matrix
 from .sg import Envmap, irradiance_basis
 
 __all__ = [
-    "BACKEND",
     "LightTable",
     "RenderCache",
     "RenderGrads",
@@ -44,24 +38,6 @@ __all__ = [
     "camera_rays",
     "intersect_unit_cube",
 ]
-
-_requested = os.environ.get("ORBITFORGE_RENDER_BACKEND", "").lower()
-if _requested == "numpy":
-    _kernel = _render_np
-    BACKEND = "numpy"
-elif _requested == "cython":
-    from . import _render_cy as _kernel  # hard failure if forced but missing
-
-    BACKEND = "cython"
-else:
-    try:
-        from . import _render_cy as _kernel
-
-        BACKEND = "cython"
-    except ImportError:
-        _kernel = _render_np
-        BACKEND = "numpy"
-
 
 class LightTable:
     """Lat-long irradiance lookup with an amplitude-linear basis.
@@ -180,30 +156,6 @@ class RenderGrads:
     light_amplitudes: np.ndarray
 
 
-def _kernel_args(cache):
-    grid = cache.grid
-    kind = 1 if grid.kind == "sdf" else 0
-    return (
-        grid.field,
-        grid.albedo,
-        kind,
-        grid.sdf_alpha,
-        grid.sdf_beta,
-        cache.grad_nodes,
-        cache.grad_sign,
-        cache.origin,
-        cache.dirs,
-        cache.hit,
-        cache.t0,
-        cache.t1,
-        cache.n_samples,
-        cache.jitter_seed,
-        cache.background,
-        cache.light.values,
-        cache.normals_override,
-    )
-
-
 def render(
     grid,
     camera,
@@ -252,8 +204,8 @@ def render(
         depth_acc=None,
         illum_acc=None,
     )
-    rgb, mask, depth_acc, illum_acc, sample_normals = _kernel.forward(
-        *_kernel_args(cache), want_sample_normals
+    rgb, mask, depth_acc, illum_acc, sample_normals = _render_np.forward(
+        cache, want_sample_normals
     )
     cache.mask = mask
     cache.depth_acc = depth_acc
@@ -266,11 +218,8 @@ def render(
     normal = np.zeros(dirs.shape)
     if np.any(valid):
         pts = origin[None, :] + depth[valid, None] * dirs[valid]
-        gvec = trilinear_interp(grad_nodes, pts)
-        norms = np.linalg.norm(gvec, axis=-1)
-        gvec = grad_sign * gvec / np.maximum(norms, 1e-20)[:, None]
-        gvec[norms < 1e-12] = (0.0, 0.0, 1.0)
-        normal[valid] = gvec
+        gvec = _render_np._interp(grad_nodes, pts)
+        normal[valid] = _render_np._unit_normals(gvec, grad_sign)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:
@@ -307,12 +256,8 @@ def render_backward(cache, g_rgb, g_mask=None, g_depth=None, g_illum=None):
         -(g_depth * cache.depth_acc + g_illum * cache.illum_acc) / (m * m),
         0.0,
     )
-    g_field, g_albedo, g_table = _kernel.backward(
-        *_kernel_args(cache),
-        np.ascontiguousarray(g_rgb),
-        np.ascontiguousarray(g_w_const),
-        np.ascontiguousarray(g_w_t),
-        np.ascontiguousarray(g_w_light),
+    g_field, g_albedo, g_table = _render_np.backward(
+        cache, g_rgb, g_w_const, g_w_t, g_w_light
     )
     return RenderGrads(
         field=g_field,

@@ -55,13 +55,13 @@ class SphericalGaussian:
         if axis.shape != (3,):
             raise ValueError("axis must be a 3-vector")
         norm = np.linalg.norm(axis)
-        if norm < 1e-12:
-            raise ValueError("axis must be nonzero")
+        if not 1e-12 <= norm < np.inf:
+            raise ValueError("axis must be finite and nonzero")
         object.__setattr__(self, "axis", axis / norm)
-        if self.sharpness <= 0.0:
-            raise ValueError("sharpness must be > 0")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0.0 < self.sharpness < np.inf:
+            raise ValueError("sharpness must be > 0 and finite")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError("amplitude must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

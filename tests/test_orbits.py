@@ -272,3 +272,20 @@ class TestPoseValidation:
         poses = (CameraPose(0, 0), CameraPose(0, 90), CameraPose(0, 45))
         with pytest.raises(ValueError):
             Orbit(poses)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CameraPose(10.0, math.nan),
+            lambda: CameraPose(10.0, math.inf),
+            lambda: CameraPose(math.nan, 0.0),
+            lambda: Camera(CameraPose(10.0, 0.0), math.nan),
+            lambda: Camera(CameraPose(10.0, 0.0), math.inf),
+            lambda: Camera(CameraPose(10.0, 0.0), 2.0, math.nan),
+        ],
+        ids=["azimuth-nan", "azimuth-inf", "elevation-nan", "distance-nan",
+             "distance-inf", "fov-nan"],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()

@@ -55,6 +55,21 @@ class TestSgEval:
         with pytest.raises(ValueError):
             sg_eval(g, np.array([0.0, 0.0, 1.1]))
 
+    @pytest.mark.parametrize(
+        "axis, sharpness, amplitude",
+        [
+            (EZ, math.nan, 1.0),
+            (EZ, math.inf, 1.0),
+            (EZ, 1.0, math.nan),
+            (EZ, 1.0, math.inf),
+            ((0.0, math.nan, 1.0), 1.0, 1.0),
+        ],
+        ids=["sharpness-nan", "sharpness-inf", "amplitude-nan", "amplitude-inf", "axis-nan"],
+    )
+    def test_non_finite_lobe_rejected(self, axis, sharpness, amplitude):
+        with pytest.raises(ValueError):
+            SphericalGaussian(axis, sharpness, amplitude)
+
 
 class TestInnerProduct:
     def test_self_product_closed_form(self):
