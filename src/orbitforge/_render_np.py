@@ -1,9 +1,10 @@
 """The NumPy render kernel behind ``render`` and ``render_backward``.
 
-Vectorized over rays and samples.  ``forward`` and ``backward`` take a
-``render.RenderCache`` and replay one march (``_march``) from it: samples
-sit at a fixed per-pixel hash jitter, so both passes see the same samples
-and the output is bitwise reproducible for a given ``jitter_seed``.
+Vectorized over rays and samples.  ``forward`` marches the hit rays of a
+``render.RenderCache`` once (``_march``) and keeps that march on the cache;
+``backward`` reads it from there, so a forward+backward step marches once.
+Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
+reproducible for a given ``jitter_seed``.
 ``_interp`` is the package's trilinear gather and ``_scatter`` its adjoint.
 """
 
@@ -53,12 +54,16 @@ def _corners(points, n):
                 yield ((x0 + dx) * n + (y0 + dy)) * n + (z0 + dz), wx * wy * wz
 
 
-def _interp(values, points):
-    """Trilinear interpolation of (n, n, n[, c]) node values at (..., 3) world points."""
+def _interp(values, points, corners=None):
+    """Trilinear interpolation of (n, n, n[, c]) node values at (..., 3) world points.
+
+    ``corners`` is ``list(_corners(points, n))`` when the caller gathers
+    several node arrays at the same points and builds it once.
+    """
     n = values.shape[0]
     flat = values.reshape((n ** 3,) + values.shape[3:])
     out = 0.0
-    for idx, w in _corners(points, n):
+    for idx, w in _corners(points, n) if corners is None else corners:
         out = out + np.take(flat, idx, axis=0) * (w if values.ndim == 3 else w[..., None])
     return out
 
@@ -163,15 +168,18 @@ def _march(cache, ridx):
     )
     flat = pos.reshape(-1, 3)
     shape = pos.shape[:2]
-    f = _interp(grid.field, flat)
+    corners = list(_corners(flat, grid.resolution))
+    f = _interp(grid.field, flat, corners)
     dens = sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f
     dens = dens.reshape(shape)
-    alb = _interp(grid.albedo, flat).reshape(shape + (3,))
+    alb = _interp(grid.albedo, flat, corners).reshape(shape + (3,))
     if cache.normals_override is None:
-        gvec = _interp(cache.grad_nodes, flat)
+        gvec = _interp(cache.grad_nodes, flat, corners)
         normals = _unit_normals(gvec, cache.grad_sign).reshape(shape + (3,))
     else:
         normals = cache.normals_override.reshape(-1, n_samples, 3)[ridx]
+    # The corner table is 16 arrays of the sample count; free it before compositing.
+    del corners
     a = -np.expm1(-dens * dt[:, None])
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
@@ -185,7 +193,8 @@ def forward(cache, want_sample_normals=False):
 
     Returns (rgb, mask, depth_acc, illum_acc, sample_normals): the weight
     sums of depth and irradiance are not yet divided by the mask, and
-    ``sample_normals`` is None unless asked for.
+    ``sample_normals`` is None unless asked for.  The march is stored in
+    ``cache.march`` for ``backward``.
     """
     height, width = cache.dirs.shape[:2]
     n_samples = cache.n_samples
@@ -199,7 +208,7 @@ def forward(cache, want_sample_normals=False):
     ridx = np.flatnonzero(cache.hit.ravel())
     if ridx.size == 0:
         return rgb, mask, depth_acc, illum_acc, sample_normals
-    m = _march(cache, ridx)
+    m = cache.march = _march(cache, ridx)
     rgb_rays = np.einsum("rs,rsc->rc", m.w * m.light, m.alb)
     rgb_rays += m.trans[:, -1:] * cache.background[None, :]
     rgb.reshape(-1, 3)[ridx] = rgb_rays
@@ -219,7 +228,8 @@ def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
     dot(g_rgb, albedo_j) * L_j + g_w_const + g_w_t * t_j + g_w_light * L_j;
     the final-transmittance background term is handled via the suffix sum.
     Shading normals are treated as constants (stop-gradient), so no
-    derivative flows through ``grad_nodes``.
+    derivative flows through ``grad_nodes``.  The samples are the ones
+    ``forward`` marched (``cache.march``), which this only reads.
     """
     grid = cache.grid
     n = grid.resolution
@@ -227,7 +237,7 @@ def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
     if ridx.size == 0:
         g_table = np.zeros(cache.light.values.shape)
         return np.zeros((n, n, n)), np.zeros((n, n, n, 3)), g_table
-    m = _march(cache, ridx)
+    m = cache.march
 
     grgb = g_rgb.reshape(-1, 3)[ridx]
     gwc = g_w_const.ravel()[ridx]

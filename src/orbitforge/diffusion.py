@@ -87,18 +87,6 @@ class Preconditioner:
     def coefficients(self, sigma):
         return precondition(self.variant, sigma, self.sigma_table)
 
-    def c_skip(self, sigma):
-        return self.coefficients(sigma)[0]
-
-    def c_out(self, sigma):
-        return self.coefficients(sigma)[1]
-
-    def c_in(self, sigma):
-        return self.coefficients(sigma)[2]
-
-    def c_noise(self, sigma):
-        return self.coefficients(sigma)[3]
-
 
 def denoise(precond, raw_net, x, sigma, cond=None):
     """Evaluate the preconditioned denoiser.

@@ -117,5 +117,8 @@ class ImageBundle:
 
 def node_gradient(field, spacing):
     """Per-node spatial gradient via central differences (one-sided edges)."""
-    gx, gy, gz = np.gradient(np.asarray(field, dtype=np.float64), spacing)
-    return np.ascontiguousarray(np.stack([gx, gy, gz], axis=-1))
+    field = np.asarray(field, dtype=np.float64)
+    out = np.empty(field.shape + (3,))
+    for axis in range(3):
+        out[..., axis] = np.gradient(field, spacing, axis=axis)
+    return out

@@ -13,7 +13,9 @@ from the spherical-Gaussian envmap once per parameter update; the table
 is exactly linear in the lobe amplitudes, which makes the amplitude
 adjoint a single basis contraction.
 
-The ray march itself lives in the NumPy kernel ``_render_np``.
+The ray march itself lives in the NumPy kernel ``_render_np``: the
+forward pass marches once and ``render_backward`` reads that march from
+the ``RenderCache``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,12 @@ def intersect_unit_cube(origin, dirs):
 
 @dataclass
 class RenderCache:
-    """Inputs replayed by the backward pass (samples are recomputed)."""
+    """What the backward pass needs: the inputs and the forward march.
+
+    ``march`` holds the forward pass's per-sample tensors of the hit rays
+    (None when no ray hits the cube); ``render_backward`` reads them and
+    does not march again.
+    """
 
     grid: SceneGrid
     camera: Camera
@@ -144,6 +151,7 @@ class RenderCache:
     mask: np.ndarray
     depth_acc: np.ndarray
     illum_acc: np.ndarray
+    march: Optional[_render_np._March]
 
 
 @dataclass
@@ -171,7 +179,7 @@ def render(
     """Render an ImageBundle from a SceneGrid.
 
     ``light`` is a LightTable (or an Envmap, converted on the fly).  With
-    ``want_cache`` the returned cache replays the pass for
+    ``want_cache`` the returned cache holds the forward march for
     ``render_backward``; ``normals_override`` substitutes frozen per-sample
     shading normals, which realizes the stop-gradient semantics for
     finite-difference checks.
@@ -203,6 +211,7 @@ def render(
         mask=None,
         depth_acc=None,
         illum_acc=None,
+        march=None,
     )
     rgb, mask, depth_acc, illum_acc, sample_normals = _render_np.forward(
         cache, want_sample_normals

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitforge import _render_np
 from orbitforge.grid import SceneGrid
 from orbitforge.orbits import Camera, CameraPose, adaptive_distance
 from orbitforge.render import (
@@ -193,3 +194,61 @@ class TestInvariants:
         a, b = (render(grid, camera(), light_table(), samples_per_ray=SAMPLES, jitter_seed=s)
                 for s in (0, 7))
         assert not np.array_equal(a.mask, b.mask)
+
+    @pytest.mark.parametrize("elevation", [90.0, -90.0])
+    def test_camera_at_the_pole(self, elevation):
+        """The up-vector fallback at the poles gives the analytic silhouette of a sphere."""
+        n, px, radius = 32, 32, 0.3
+        x = np.linspace(-0.5, 0.5, n)
+        r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
+        grid = SceneGrid("sdf", r - radius, np.full((n, n, n, 3), 0.5), sdf_beta=0.005)
+        cam = camera(px=px, elevation=elevation, azimuth=0.0)
+        bundle = render(grid, cam, light_table(), samples_per_ray=64, background=BACKGROUND)
+        for name in ("rgb", "mask", "illum", "normal"):
+            assert np.all(np.isfinite(getattr(bundle, name)))
+        # Pixel-centre rays inside the cone of half-angle asin(radius / distance).
+        t = (np.arange(px) + 0.5 - px / 2.0) / cam.focal_px
+        tan2 = t[:, None] ** 2 + t[None, :] ** 2
+        disc = tan2 < np.tan(np.arcsin(radius / cam.distance)) ** 2
+        covered = bundle.mask >= 0.5
+        assert (covered & disc).sum() / (covered | disc).sum() >= 0.8
+
+
+class TestForwardMarchIsReused:
+    """render_backward reads the samples the forward pass marched."""
+
+    def test_forward_and_backward_march_once(self, monkeypatch):
+        calls = []
+        march = _render_np._march
+
+        def counted(*args):
+            calls.append(args)
+            return march(*args)
+
+        monkeypatch.setattr(_render_np, "_march", counted)
+        _, cache = render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES,
+                          want_cache=True)
+        render_backward(cache, np.ones((PX, PX, 3)))
+        assert len(calls) == 1
+
+    def test_backward_twice_is_bitwise_equal(self):
+        grid = scene("density")
+        light = light_table()
+        _, cache = render(grid, camera(), light, samples_per_ray=SAMPLES, want_cache=True)
+        rng = np.random.default_rng(5)
+        upstream = (rng.standard_normal((PX, PX, 3)), rng.standard_normal((PX, PX)))
+        first = render_backward(cache, *upstream)
+        render(grid, camera(elevation=-30.0, azimuth=200.0), light, samples_per_ray=SAMPLES,
+               jitter_seed=7, want_cache=True)
+        second = render_backward(cache, *upstream)
+        for name in ("field", "albedo", "light_table", "light_amplitudes"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_shared_corner_table_matches_own(self, channels):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((N, N, N) + channels)
+        points = rng.uniform(-0.6, 0.6, (50, 3))
+        shared = _render_np._interp(values, points,
+                                    corners=list(_render_np._corners(points, N)))
+        assert shared.tobytes() == _render_np._interp(values, points).tobytes()
