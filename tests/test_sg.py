@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from orbitforge import sg
 from orbitforge.sg import (
     COSINE_LOBE_AMPLITUDE,
     COSINE_LOBE_SHARPNESS,
@@ -16,7 +17,6 @@ from orbitforge.sg import (
     fit_envmap,
     hsv_value,
     illum_loss,
-    irradiance,
     irradiance_basis,
     irradiance_many,
     load_envmap,
@@ -131,20 +131,20 @@ class TestCosineLobe:
 
 class TestIrradiance:
     def test_empty_envmap(self):
-        assert irradiance(Envmap(()), EZ) == 0.0
+        assert irradiance_many(Envmap(()), EZ[None])[0] == 0.0
 
     def test_single_aligned_lobe(self):
         g = SphericalGaussian(EZ, 5.0, 1.0)
         env = Envmap((g,))
         expected = sg_inner_product(g, cosine_lobe(EZ)) / np.pi
-        assert irradiance(env, EZ) == pytest.approx(expected, rel=1e-12)
+        assert irradiance_many(env, EZ[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         lobes = tuple(random_lobe(rng) for _ in range(6))
         n = np.array([0.0, 1.0, 0.0])
-        a = irradiance(Envmap(lobes), n)
-        b = irradiance(Envmap(lobes[::-1]), n)
+        a = irradiance_many(Envmap(lobes), n[None])[0]
+        b = irradiance_many(Envmap(lobes[::-1]), n[None])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_rotation_equivariant(self):
@@ -156,17 +156,17 @@ class TestIrradiance:
         rotated = tuple(
             SphericalGaussian(rot @ g.axis, g.sharpness, g.amplitude) for g in lobes
         )
-        a = irradiance(Envmap(lobes), n)
-        b = irradiance(Envmap(rotated), rot @ n)
+        a = irradiance_many(Envmap(lobes), n[None])[0]
+        b = irradiance_many(Envmap(rotated), (rot @ n)[None])[0]
         assert abs(a - b) < 1e-9
 
     def test_amplitude_homogeneity_exact(self):
         rng = np.random.default_rng(7)
         env = Envmap(tuple(random_lobe(rng) for _ in range(5)))
         n = np.array([1.0, 0.0, 0.0])
-        base = irradiance(env, n)
+        base = irradiance_many(env, n[None])[0]
         scaled = env.with_amplitudes(env.amplitudes * 4.0)
-        assert irradiance(scaled, n) == pytest.approx(4.0 * base, rel=1e-15)
+        assert irradiance_many(scaled, n[None])[0] == pytest.approx(4.0 * base, rel=1e-15)
 
 
 class TestShadeAndLoss:
@@ -218,6 +218,116 @@ class TestMcSphereIntegral:
         assert abs(val - expected) <= 0.01 * expected
 
 
+def fd_gradients(axes, sharp, amps, normals, albedo, target, cols=None, d=None):
+    """Central-difference oracle for ``sg._fit_gradients``; ignores ``cols`` and ``d``.
+
+    Perturbing one lobe only swaps out its own basis column.  Axis steps
+    are renormalized, so the axis gradient is the tangent-plane one;
+    sharpness steps are taken in log space.
+    """
+    cols = sg._lobe_columns(axes, sharp, normals)[0]
+    light = cols @ amps
+
+    def loss_with_column(j, col_j, amp_j):
+        return sg._shading_loss(light - cols[:, j] * amps[j] + col_j * amp_j, albedo, target)
+
+    def column(axis, s):
+        return sg._lobe_columns(axis[None, :], np.array([s]), normals)[0][:, 0]
+
+    g_amp = np.zeros_like(amps)
+    g_axes = np.zeros_like(axes)
+    g_logsharp = np.zeros_like(sharp)
+    for j in range(len(amps)):
+        h = 1e-6
+        g_amp[j] = (
+            loss_with_column(j, cols[:, j], amps[j] + h)
+            - loss_with_column(j, cols[:, j], amps[j] - h)
+        ) / (2.0 * h)
+        hs = 1e-4
+        cp = column(axes[j], sharp[j] * math.exp(hs))
+        cm = column(axes[j], sharp[j] * math.exp(-hs))
+        g_logsharp[j] = (
+            loss_with_column(j, cp, amps[j]) - loss_with_column(j, cm, amps[j])
+        ) / (2.0 * hs)
+        for a in range(3):
+            ha = 1e-5
+            ap = axes[j].copy()
+            ap[a] += ha
+            am = axes[j].copy()
+            am[a] -= ha
+            cp = column(ap / np.linalg.norm(ap), sharp[j])
+            cm = column(am / np.linalg.norm(am), sharp[j])
+            g_axes[j, a] = (
+                loss_with_column(j, cp, amps[j]) - loss_with_column(j, cm, amps[j])
+            ) / (2.0 * ha)
+    return g_amp, g_axes, g_logsharp
+
+
+def random_unit(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestLobeColumns:
+    def test_matches_scalar_inner_product(self):
+        rng = np.random.default_rng(16)
+        lobes = [random_lobe(rng) for _ in range(12)]
+        # s equal or nearly equal to the cosine lobe's, with opposed axes,
+        # puts d_m at or near its removable singularity.
+        for s in (COSINE_LOBE_SHARPNESS, COSINE_LOBE_SHARPNESS * (1.0 + 1e-9)):
+            lobes.append(SphericalGaussian(-EZ, s, 1.0))
+        tilted = np.array([1e-4, 0.0, -1.0])
+        lobes.append(SphericalGaussian(tilted, COSINE_LOBE_SHARPNESS, 1.0))
+        normals = np.concatenate([random_unit(rng, 40), EZ[None]])
+        env = Envmap(tuple(lobes))
+        cols, d = sg._lobe_columns(env.axes, env.sharpnesses, normals)
+        unit_lobes = [SphericalGaussian(g.axis, g.sharpness, 1.0) for g in lobes]
+        expected = np.array(
+            [[sg_inner_product(g, cosine_lobe(n)) / np.pi for g in unit_lobes] for n in normals]
+        )
+        np.testing.assert_allclose(cols, expected, rtol=1e-12, atol=0.0)
+        v = env.sharpnesses[None, :, None] * env.axes[None] + COSINE_LOBE_SHARPNESS * normals[:, None]
+        np.testing.assert_allclose(d, np.linalg.norm(v, axis=-1), rtol=1e-9, atol=1e-7)
+
+
+class TestFitGradients:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(17)
+        truth = Envmap(tuple(random_lobe(rng, 1.0, 20.0) for _ in range(4)))
+        env = Envmap(tuple(random_lobe(rng, 1.0, 20.0) for _ in range(6)))
+        axes = env.axes
+        sharp = env.sharpnesses.copy()
+        amps = env.amplitudes.copy()
+        amps[1] = 0.0
+        # Lobe 2 matches the cosine lobe's sharpness; the last five normals
+        # sit at and near its antipode, so d_m runs from 0 across the switch
+        # to the series branch of the slope.
+        sharp[2] = COSINE_LOBE_SHARPNESS
+        near = [-axes[2] + eps * np.cross(axes[2], EZ) for eps in (0.0, 1e-7, 1e-3, 3e-3, 1e-2)]
+        normals = np.concatenate([random_unit(rng, 300), np.array(near)])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        albedo = rng.uniform(0.2, 1.0, (len(normals), 3))
+        target = albedo * irradiance_many(truth, normals)[:, None]
+        cols, d = sg._lobe_columns(axes, sharp, normals)
+        assert d[300:, 2].min() < 1e-6
+        analytic = sg._fit_gradients(axes, sharp, amps, normals, albedo, target, cols, d)
+        oracle = fd_gradients(axes, sharp, amps, normals, albedo, target)
+        for got, want in zip(analytic, oracle):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        _, g_axes, g_logsharp = analytic
+        np.testing.assert_array_equal(g_axes[1], 0.0)
+        assert g_logsharp[1] == 0.0
+
+    def test_slope_matches_taylor_series(self):
+        # Near d = 0 a point's gradient terms vanish like d, so the fit
+        # cannot show a wrong slope there; compare it with five terms of
+        # the series of (coth d - 1/d) / d instead, on both branches.
+        d = np.concatenate([[0.0], np.geomspace(1e-8, 0.1, 200)])
+        d2 = d * d
+        taylor = 1 / 3 - d2 / 45 + 2 * d2**2 / 945 - d2**3 / 4725 + 2 * d2**4 / 93555
+        np.testing.assert_allclose(sg._log_col_slope_over_d(d), taylor, rtol=1e-10, atol=0.0)
+
+
 class TestFitEnvmap:
     @staticmethod
     def _make_views(env, rng, n_views=8, n_pixels=400):
@@ -245,9 +355,10 @@ class TestFitEnvmap:
             resid = albedo * (basis @ a)[:, None] - target
             return float(np.mean(resid * resid))
 
-        analytic = (2.0 / target.size) * basis.T @ np.sum(
-            albedo * (albedo * (basis @ amps)[:, None] - target), axis=1
-        )
+        cols, d = sg._lobe_columns(env.axes, env.sharpnesses, normals)
+        analytic = sg._fit_gradients(
+            env.axes, env.sharpnesses, amps, normals, albedo, target, cols, d
+        )[0]
         for j in range(6):
             h = 1e-6
             e = np.zeros(6)
@@ -283,6 +394,50 @@ class TestFitEnvmap:
         assert history[0] == 0.0
         np.testing.assert_array_equal(fitted.amplitudes, 0.0)
         np.testing.assert_array_equal(fitted.axes, init.axes)
+
+    def test_history_matches_central_difference_fit(self, monkeypatch):
+        # The benchmark's envmap_fit size: 4096 Fibonacci normals, 24 lobes.
+        rng = np.random.default_rng(18)
+        normals = fibonacci_sphere(4096)
+        albedo = rng.uniform(0.3, 0.9, (4096, 3))
+        truth = Envmap(tuple(random_lobe(rng, 2.0, 30.0) for _ in range(6)))
+        views = [(albedo * irradiance_many(truth, normals)[:, None], normals, albedo)]
+        _, history = fit_envmap(views, iterations=10, return_history=True)
+        monkeypatch.setattr(sg, "_fit_gradients", fd_gradients)
+        _, reference = fit_envmap(views, iterations=10, return_history=True)
+        assert history[-1] < 0.5 * history[0]
+        np.testing.assert_allclose(history, reference, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rgb", math.nan), ("normals", math.inf), ("albedo", math.nan), ("normals", 2.0)],
+        ids=["rgb-nan", "normals-inf", "albedo-nan", "normals-length-2"],
+    )
+    def test_bad_input_rejected(self, field, value):
+        rng = np.random.default_rng(19)
+        views = self._make_views(default_envmap(4), rng, n_views=1, n_pixels=50)
+        rgb, normals, albedo = (a.copy() for a in views[0])
+        bufs = {"rgb": rgb, "normals": normals, "albedo": albedo}
+        if value == 2.0:
+            bufs[field][7] *= value
+        else:
+            bufs[field][7, 1] = value
+        with pytest.raises(ValueError):
+            fit_envmap([(rgb, normals, albedo)], init=default_envmap(4), iterations=2)
+
+    def test_masked_out_pixels_not_checked(self):
+        rng = np.random.default_rng(20)
+        views = self._make_views(default_envmap(4), rng, n_views=1, n_pixels=50)
+        rgb, normals, albedo = (a.copy() for a in views[0])
+        rgb[7] = math.nan
+        normals[7] = 0.0
+        keep = np.ones(50, dtype=bool)
+        keep[7] = False
+        _, history = fit_envmap(
+            [(rgb, normals, albedo, keep)], init=default_envmap(4), iterations=2,
+            return_history=True,
+        )
+        assert np.all(np.isfinite(history))
 
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(14)
