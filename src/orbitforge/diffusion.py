@@ -24,58 +24,31 @@ __all__ = [
     "GaussianMixtureDenoiser",
     "GuidanceSchedule",
     "SigmaSchedule",
-    "precondition",
     "denoise",
     "score_from_denoiser",
     "analytic_gm_denoiser",
     "dsm_loss",
     "edm_weight",
-    "sample_sigma",
     "make_sigma_schedule",
     "ddim_sample",
     "cfg_combine",
-    "guidance_schedule",
 ]
 
 PRECONDITIONER_VARIANTS = ("edm-unit-sigma", "sd21-discrete")
 
 
-def precondition(variant, sigma, sigma_table=None):
-    """Return (c_skip, c_out, c_in, c_noise) for a noise level.
+@dataclass(frozen=True)
+class Preconditioner:
+    """Scaling coefficients of a denoiser D(x; sigma) around a raw network.
 
     ``edm-unit-sigma`` is the unit-data-variance parameterization:
     c_skip = 1/(sigma^2+1), c_out = -sigma/sqrt(sigma^2+1),
     c_in = 1/sqrt(sigma^2+1), c_noise = 0.25*ln(sigma).
 
     ``sd21-discrete`` keeps the epsilon-style scalings (c_skip = 1,
-    c_out = -sigma) and maps sigma to the index of the nearest entry of a
-    caller-supplied discrete sigma table.
+    c_out = -sigma) and maps sigma to the index of the nearest entry of
+    ``sigma_table``, which must be a finite, non-empty 1-D array.
     """
-    sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if variant == "edm-unit-sigma":
-        s2p1 = sigma * sigma + 1.0
-        return (
-            1.0 / s2p1,
-            -sigma / math.sqrt(s2p1),
-            1.0 / math.sqrt(s2p1),
-            0.25 * math.log(sigma),
-        )
-    if variant == "sd21-discrete":
-        if sigma_table is None:
-            raise ValueError("sd21-discrete requires an explicit sigma_table")
-        table = np.asarray(sigma_table, dtype=np.float64)
-        if table.ndim != 1 or table.size == 0:
-            raise ValueError("sigma_table must be a non-empty 1-D array")
-        c_noise = float(np.argmin(np.abs(sigma - table)))
-        return (1.0, -sigma, 1.0 / math.sqrt(sigma * sigma + 1.0), c_noise)
-    raise ValueError(f"unknown preconditioner variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class Preconditioner:
-    """Scaling coefficients of a denoiser D(x; sigma) around a raw network."""
 
     variant: str = "edm-unit-sigma"
     sigma_table: Optional[np.ndarray] = None
@@ -83,9 +56,23 @@ class Preconditioner:
     def __post_init__(self):
         if self.variant not in PRECONDITIONER_VARIANTS:
             raise ValueError(f"unknown preconditioner variant {self.variant!r}")
+        if self.variant == "sd21-discrete":
+            # A missing table becomes a 0-d NaN array, which the check rejects.
+            table = np.asarray(self.sigma_table, dtype=np.float64)
+            if table.ndim != 1 or table.size == 0 or not np.isfinite(table).all():
+                raise ValueError("sd21-discrete needs a finite, non-empty 1-D sigma_table")
+            object.__setattr__(self, "sigma_table", table)
 
     def coefficients(self, sigma):
-        return precondition(self.variant, sigma, self.sigma_table)
+        """Return (c_skip, c_out, c_in, c_noise) for a noise level."""
+        sigma = float(sigma)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        s2p1 = sigma * sigma + 1.0
+        c_in = 1.0 / math.sqrt(s2p1)
+        if self.variant == "edm-unit-sigma":
+            return 1.0 / s2p1, -sigma / math.sqrt(s2p1), c_in, 0.25 * math.log(sigma)
+        return 1.0, -sigma, c_in, float(np.argmin(np.abs(sigma - self.sigma_table)))
 
 
 def denoise(precond, raw_net, x, sigma, cond=None):
@@ -122,8 +109,8 @@ class NoiseLevelDistribution:
     p_std: float
 
     def __post_init__(self):
-        if self.p_std < 0.0:
-            raise ValueError("p_std must be >= 0")
+        if not (math.isfinite(self.p_mean) and 0.0 <= self.p_std < math.inf):
+            raise ValueError("p_mean must be finite and p_std finite and >= 0")
 
     def sample(self, rng, size=None):
         z = rng.standard_normal(size)
@@ -140,11 +127,6 @@ NOISE_LEVEL_PRESETS: Mapping[str, NoiseLevelDistribution] = {
 }
 
 
-def sample_sigma(noise_dist, rng, size=None):
-    """Draw sigma = exp(p_mean + p_std * z) with z standard normal."""
-    return noise_dist.sample(rng, size)
-
-
 class GaussianMixture:
     """Isotropic Gaussian mixture used as an analytic data distribution.
 
@@ -158,6 +140,8 @@ class GaussianMixture:
         variances = np.asarray(variances, dtype=np.float64)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("mixture needs at least one component")
+        if not all(np.isfinite(a).all() for a in (weights, means, variances)):
+            raise ValueError("weights, means and variances must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be >= 0")
         total = weights.sum()
@@ -296,6 +280,8 @@ class SigmaSchedule:
         object.__setattr__(self, "sigmas", sig)
         if sig.ndim != 1 or sig.size < 2:
             raise ValueError("schedule needs at least [sigma_max, 0]")
+        if not np.isfinite(sig).all():
+            raise ValueError("schedule must be finite")
         if sig[-1] != 0.0:
             raise ValueError("schedule must end at exactly 0")
         if np.any(np.diff(sig) >= 0.0):
@@ -388,6 +374,8 @@ def ddim_sample(
         w_arr = np.full(n_steps, float(w_arr))
     elif w_arr.shape != (n_steps,):
         raise ValueError(f"per-step guidance must have length {n_steps}")
+    if not np.isfinite(w_arr).all():
+        raise ValueError("guidance must be finite")
     for i in range(n_steps):
         s_cur = sig[i]
         s_next = sig[i + 1]
@@ -399,30 +387,15 @@ def ddim_sample(
 GUIDANCE_KINDS = ("constant", "linear", "triangular")
 
 
-def guidance_schedule(kind, k, w_min, w_max, i):
-    """Per-frame CFG strength for frame i of a k-frame orbit.
-
-    constant: w_max everywhere.  linear: ramp from w_min at frame 0 to
-    w_max at frame k-1.  triangular: tent over u = i/k, so frame 0 sits at
-    w_min and the loop closes at the conditioning view with the peak at
-    u = 0.5.
-    """
-    if not 0 <= i < k:
-        raise ValueError(f"frame index {i} out of range for k={k}")
-    if kind == "constant":
-        return float(w_max)
-    if kind == "linear":
-        if k < 2:
-            raise ValueError("linear schedule needs k >= 2")
-        return float(w_min + (w_max - w_min) * (i / (k - 1)))
-    if kind == "triangular":
-        return float(w_min + (w_max - w_min) * (1.0 - abs(2.0 * i / k - 1.0)))
-    raise ValueError(f"unknown guidance kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class GuidanceSchedule:
-    """Frame-indexed guidance strengths for a k-frame generation."""
+    """Frame-indexed CFG strengths for a k-frame orbit.
+
+    constant: w_max everywhere.  linear: ramp from w_min at frame 0 to
+    w_max at frame k-1 (needs k >= 2).  triangular: tent over u = i/k, so
+    frame 0 sits at w_min and the loop closes at the conditioning view with
+    the peak at u = 0.5.
+    """
 
     kind: str
     w_min: float
@@ -432,13 +405,22 @@ class GuidanceSchedule:
     def __post_init__(self):
         if self.kind not in GUIDANCE_KINDS:
             raise ValueError(f"unknown guidance kind {self.kind!r}")
-        if self.w_min < 0.0 or self.w_max < 0.0:
-            raise ValueError("guidance strengths must be >= 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not (0.0 <= self.w_min < math.inf and 0.0 <= self.w_max < math.inf):
+            raise ValueError("guidance strengths must be finite and >= 0")
+        k_min = 2 if self.kind == "linear" else 1
+        if self.k < k_min:
+            raise ValueError(f"{self.kind} schedule needs k >= {k_min}")
 
     def at(self, i):
-        return guidance_schedule(self.kind, self.k, self.w_min, self.w_max, i)
+        """CFG strength of frame i."""
+        if not 0 <= i < self.k:
+            raise ValueError(f"frame index {i} out of range for k={self.k}")
+        w_min, w_max, k = self.w_min, self.w_max, self.k
+        if self.kind == "constant":
+            return float(w_max)
+        if self.kind == "linear":
+            return float(w_min + (w_max - w_min) * (i / (k - 1)))
+        return float(w_min + (w_max - w_min) * (1.0 - abs(2.0 * i / k - 1.0)))
 
     def values(self):
         return np.array([self.at(i) for i in range(self.k)])

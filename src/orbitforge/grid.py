@@ -76,12 +76,6 @@ class SceneGrid:
     def spacing(self):
         return 1.0 / (self.resolution - 1)
 
-    def density_field(self):
-        """Density per node (sigmoid-mapped for SDF grids)."""
-        if self.kind == "density":
-            return self.field
-        return sdf_to_density(self.field, self.sdf_alpha, self.sdf_beta)
-
     @classmethod
     def empty(cls, kind, resolution, fill=0.0, albedo=0.5, **kwargs):
         n = resolution

@@ -117,8 +117,8 @@ class DynamicOrbitParams:
             self.amplitude_range_deg[1] < self.amplitude_range_deg[0]
         ):
             raise ValueError("bad amplitude range")
-        if self.azimuth_noise_std_deg < 0 or self.smooth_half_width < 0:
-            raise ValueError("noise std and smoothing half-width must be >= 0")
+        if not 0.0 <= self.azimuth_noise_std_deg < math.inf or self.smooth_half_width < 0:
+            raise ValueError("noise std must be finite and >= 0, smoothing half-width >= 0")
 
 
 def _circular_smooth(values, half_width):

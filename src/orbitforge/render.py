@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _render_np
 from .grid import ImageBundle, SceneGrid, node_gradient
-from .orbits import Camera, camera_matrix
+from .orbits import camera_matrix
 from .sg import Envmap, irradiance_basis
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RenderGrads",
     "render",
     "render_backward",
-    "surface_points_and_normals",
     "camera_rays",
     "intersect_unit_cube",
 ]
@@ -46,7 +45,8 @@ class LightTable:
 
     Entries are exact spherical-Gaussian irradiance values at cell-center
     directions; lookups interpolate bilinearly (wrap in azimuth, clamp at
-    the poles).
+    the poles).  An envmap without lobes gives an (n_theta * n_phi, 0)
+    basis, an all-zero table and empty amplitude gradients.
     """
 
     def __init__(self, envmap, n_theta=64, n_phi=128):
@@ -59,37 +59,21 @@ class LightTable:
         dirs = np.stack(
             [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
         ).reshape(-1, 3)
-        if len(envmap) == 0:
-            self.basis = np.zeros((n_theta * n_phi, 0))
-        else:
-            self.basis = irradiance_basis(envmap, dirs)
-        self.values = np.zeros((n_theta, n_phi))
-        self.set_amplitudes(envmap.amplitudes if len(envmap) else np.zeros(0))
+        self.basis = irradiance_basis(envmap, dirs)
+        self.set_amplitudes(envmap.amplitudes)
 
     def set_amplitudes(self, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        self.amplitudes = amplitudes
-        if self.basis.shape[1]:
-            self.values = np.ascontiguousarray(
-                (self.basis @ amplitudes).reshape(self.n_theta, self.n_phi)
-            )
-        else:
-            self.values = np.zeros((self.n_theta, self.n_phi))
+        self.amplitudes = np.asarray(amplitudes, dtype=np.float64)
+        self.values = np.ascontiguousarray(
+            (self.basis @ self.amplitudes).reshape(self.n_theta, self.n_phi)
+        )
 
     def lookup(self, normals):
         return _render_np.table_lookup(self.values, np.asarray(normals, dtype=np.float64))
 
     def amplitude_grads(self, g_table):
         """Chain a per-bin gradient through the amplitude-linear basis."""
-        if not self.basis.shape[1]:
-            return np.zeros(0)
         return self.basis.T @ np.asarray(g_table, dtype=np.float64).ravel()
-
-    @classmethod
-    def constant(cls, value=1.0, n_theta=4, n_phi=8):
-        table = cls(Envmap(()), n_theta, n_phi)
-        table.values = np.full((n_theta, n_phi), float(value))
-        return table
 
 
 def camera_rays(camera):
@@ -111,7 +95,6 @@ def camera_rays(camera):
 def intersect_unit_cube(origin, dirs):
     """Slab test against [-0.5, 0.5]^3; entry clamped to the camera."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
         lo = (-0.5 - origin) / dirs
         hi = (0.5 - origin) / dirs
     near = np.where(np.isnan(lo), -np.inf, np.minimum(lo, hi))
@@ -135,7 +118,6 @@ class RenderCache:
     """
 
     grid: SceneGrid
-    camera: Camera
     light: LightTable
     origin: np.ndarray
     dirs: np.ndarray
@@ -195,7 +177,6 @@ def render(
     background = np.asarray(background, dtype=np.float64)
     cache = RenderCache(
         grid=grid,
-        camera=camera,
         light=light,
         origin=origin,
         dirs=dirs,
@@ -274,32 +255,3 @@ def render_backward(cache, g_rgb, g_mask=None, g_depth=None, g_illum=None):
         light_table=g_table,
         light_amplitudes=cache.light.amplitude_grads(g_table),
     )
-
-
-def surface_points_and_normals(grid, camera, width=None, height=None, *, samples_per_ray=64, jitter_seed=0):
-    """Expected-depth surface points and field-gradient normals per hit pixel.
-
-    Returns (points (m, 3), normals (m, 3), pixel_indices (m, 2)).
-    """
-    if width is not None or height is not None:
-        camera = Camera(
-            camera.pose,
-            camera.distance,
-            camera.fov_deg,
-            width or camera.width,
-            height or camera.height,
-        )
-    bundle = render(
-        grid,
-        camera,
-        LightTable.constant(),
-        samples_per_ray=samples_per_ray,
-        background=(0.0, 0.0, 0.0),
-        jitter_seed=jitter_seed,
-    )
-    valid = bundle.valid
-    origin, dirs = camera_rays(camera)
-    pts = origin[None, :] + bundle.depth[valid, None] * dirs[valid]
-    normals = bundle.normal[valid]
-    idx = np.argwhere(valid)
-    return pts, normals, idx

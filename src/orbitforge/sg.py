@@ -81,7 +81,8 @@ class Envmap:
 
     @property
     def axes(self):
-        return np.array([g.axis for g in self.lobes])
+        """(n_lobes, 3) unit axes; (0, 3) for an envmap without lobes."""
+        return np.array([g.axis for g in self.lobes]).reshape(-1, 3)
 
     @property
     def sharpnesses(self):
@@ -148,10 +149,7 @@ def cosine_lobe(n):
 def irradiance_many(envmap, normals):
     """Lambertian irradiance (lobe products / pi) at (m, 3) unit normals."""
     normals = _check_unit(normals, "normal")
-    if len(envmap) == 0:
-        return np.zeros(normals.shape[0])
-    basis = irradiance_basis(envmap, normals)
-    return basis @ envmap.amplitudes
+    return irradiance_basis(envmap, normals) @ envmap.amplitudes
 
 
 def _lobe_columns(axes, sharp, normals):
@@ -307,8 +305,8 @@ def fit_envmap(
 
     ``views`` is a sequence of (rgb, normals, albedo[, foreground]) tuples;
     buffers may be per-pixel images or flat point lists.  Foreground
-    buffers must be finite and foreground normals unit length, else
-    ``ValueError``.  Amplitude, axis and log-sharpness gradients are all
+    buffers must be finite, foreground normals unit length and ``init``
+    must have at least one lobe, else ``ValueError``.  Amplitude, axis and log-sharpness gradients are all
     closed form (``_fit_gradients``).  Projected gradient descent with a
     backtracking line search keeps the loss non-increasing over accepted
     steps; 50 consecutive failed line searches abort the fit.
@@ -331,6 +329,8 @@ def fit_envmap(
     _check_unit(normals, "normal")
 
     env = init if init is not None else default_envmap()
+    if len(env) == 0:
+        raise ValueError("init envmap needs at least one lobe")
     axes = env.axes.copy()
     sharp = env.sharpnesses.copy()
     amps = env.amplitudes.copy()

@@ -18,63 +18,68 @@ from orbitforge.diffusion import (
     ddim_sample,
     denoise,
     dsm_loss,
-    guidance_schedule,
     make_sigma_schedule,
-    precondition,
-    sample_sigma,
     score_from_denoiser,
 )
 
 
 class TestPrecondition:
     def test_unit_sigma_at_one(self):
-        c_skip, c_out, c_in, c_noise = precondition("edm-unit-sigma", 1.0)
+        c_skip, c_out, c_in, c_noise = Preconditioner("edm-unit-sigma").coefficients(1.0)
         assert c_skip == pytest.approx(0.5)
         assert c_out == pytest.approx(-1.0 / math.sqrt(2.0))
         assert c_in == pytest.approx(1.0 / math.sqrt(2.0))
         assert c_noise == pytest.approx(0.0)
 
     def test_c_noise_quarter_log(self):
-        _, _, _, c_noise = precondition("edm-unit-sigma", math.exp(4.0))
+        _, _, _, c_noise = Preconditioner("edm-unit-sigma").coefficients(math.exp(4.0))
         assert c_noise == pytest.approx(1.0)
 
     @given(st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=100, deadline=None)
     def test_skip_out_identity(self, log10_sigma):
         sigma = 10.0**log10_sigma
-        c_skip, c_out, _, _ = precondition("edm-unit-sigma", sigma)
+        c_skip, c_out, _, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
         assert abs(c_skip + c_out * c_out - 1.0) < 1e-12
 
     def test_identity_over_random_sigmas(self):
         rng = np.random.default_rng(0)
         sigmas = 10.0 ** rng.uniform(-3, 3, size=1000)
         for sigma in sigmas:
-            c_skip, c_out, _, _ = precondition("edm-unit-sigma", sigma)
+            c_skip, c_out, _, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
             assert abs(c_skip + c_out * c_out - 1.0) < 1e-12
 
     def test_both_variants_share_c_in(self):
         table = np.linspace(0.01, 100.0, 50)
         for sigma in (0.05, 1.0, 7.3):
-            _, _, cin_a, _ = precondition("edm-unit-sigma", sigma)
-            _, _, cin_b, _ = precondition("sd21-discrete", sigma, table)
+            _, _, cin_a, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
+            _, _, cin_b, _ = Preconditioner("sd21-discrete", table).coefficients(sigma)
             assert cin_a == pytest.approx(1.0 / math.sqrt(sigma**2 + 1.0))
             assert cin_b == cin_a
 
     def test_sd21_nearest_index(self):
         table = np.array([0.1, 1.0, 10.0])
-        _, c_out, _, c_noise = precondition("sd21-discrete", 1.2, table)
+        _, c_out, _, c_noise = Preconditioner("sd21-discrete", table).coefficients(1.2)
         assert c_noise == 1.0
         assert c_out == pytest.approx(-1.2)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
-            precondition("edm-unit-sigma", 0.0)
+            Preconditioner("edm-unit-sigma").coefficients(0.0)
         with pytest.raises(ValueError):
-            precondition("edm-unit-sigma", -1.0)
+            Preconditioner("edm-unit-sigma").coefficients(-1.0)
 
     def test_discrete_requires_table(self):
+        """The table is checked when the preconditioner is built, not on first use."""
         with pytest.raises(ValueError):
-            precondition("sd21-discrete", 1.0)
+            Preconditioner("sd21-discrete")
+
+    @pytest.mark.parametrize(
+        "table", [np.zeros(0), np.ones((2, 2))], ids=["empty", "2-d"]
+    )
+    def test_bad_table_rejected_at_construction(self, table):
+        with pytest.raises(ValueError):
+            Preconditioner("sd21-discrete", table)
 
 
 class TestDenoise:
@@ -241,18 +246,18 @@ class TestDsmLoss:
 class TestSampleSigma:
     def test_degenerate_distribution(self):
         rng = np.random.default_rng(0)
-        out = sample_sigma(NoiseLevelDistribution(0.0, 0.0), rng, 100)
+        out = NoiseLevelDistribution(0.0, 0.0).sample(rng, 100)
         np.testing.assert_array_equal(out, 1.0)
 
     def test_lognormal_median(self):
         rng = np.random.default_rng(1)
-        out = sample_sigma(NOISE_LEVEL_PRESETS["image-finetune"], rng, 100_000)
+        out = NOISE_LEVEL_PRESETS["image-finetune"].sample(rng, 100_000)
         med = np.median(out)
         assert abs(med - math.exp(-1.2)) / math.exp(-1.2) < 0.02
 
     def test_always_positive(self):
         rng = np.random.default_rng(2)
-        out = sample_sigma(NoiseLevelDistribution(1.0, 1.6), rng, 10_000)
+        out = NoiseLevelDistribution(1.0, 1.6).sample(rng, 10_000)
         assert np.all(out > 0)
 
     def test_presets(self):
@@ -374,21 +379,31 @@ class TestCfgCombine:
 
 class TestGuidanceSchedule:
     def test_triangular_endpoints_and_peak(self):
-        assert guidance_schedule("triangular", 21, 1.0, 2.5, 0) == 1.0
-        assert guidance_schedule("triangular", 20, 1.0, 2.5, 10) == 2.5
+        assert GuidanceSchedule("triangular", 1.0, 2.5, 21).at(0) == 1.0
+        assert GuidanceSchedule("triangular", 1.0, 2.5, 20).at(10) == 2.5
 
     def test_linear_endpoints(self):
-        assert guidance_schedule("linear", 2, 1.0, 4.0, 0) == 1.0
-        assert guidance_schedule("linear", 2, 1.0, 4.0, 1) == 4.0
+        assert GuidanceSchedule("linear", 1.0, 4.0, 2).at(0) == 1.0
+        assert GuidanceSchedule("linear", 1.0, 4.0, 2).at(1) == 4.0
 
     def test_constant(self):
-        assert guidance_schedule("constant", 7, 1.0, 3.5, 3) == 3.5
+        assert GuidanceSchedule("constant", 1.0, 3.5, 7).at(3) == 3.5
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            guidance_schedule("triangular", 10, 1.0, 2.5, 10)
+            GuidanceSchedule("triangular", 1.0, 2.5, 10).at(10)
         with pytest.raises(ValueError):
-            guidance_schedule("triangular", 10, 1.0, 2.5, -1)
+            GuidanceSchedule("triangular", 1.0, 2.5, 10).at(-1)
+
+    @pytest.mark.parametrize(
+        "kind, w_min, w_max, k",
+        [("linear", 1.0, 2.0, 1), ("linear", -3.0, 2.0, 5), ("triangular", 1.0, -0.5, 5),
+         ("constant", 1.0, 2.0, 0), ("cosine", 1.0, 2.0, 5)],
+        ids=["linear-k1", "negative-w_min", "negative-w_max", "k0", "unknown-kind"],
+    )
+    def test_rejected_at_construction(self, kind, w_min, w_max, k):
+        with pytest.raises(ValueError):
+            GuidanceSchedule(kind, w_min, w_max, k)
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=50, deadline=None)
@@ -404,3 +419,38 @@ class TestGuidanceSchedule:
         nearest = int(round(k / 2.0))
         nearest = min(nearest, k - 1)
         assert vals.max() == pytest.approx(sched.at(nearest))
+
+
+_SCHEDULE = make_sigma_schedule(10.0, 0.01, 3)
+_DENOISER = GaussianMixtureDenoiser({None: GaussianMixture([1.0], [[0.0]], [1.0])})
+
+
+class TestRejectsNonFinite:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GaussianMixture([1.0, math.nan], [[0.0], [1.0]], [1.0, 1.0]),
+            lambda: GaussianMixture([1.0, math.inf], [[0.0], [1.0]], [1.0, 1.0]),
+            lambda: GaussianMixture([1.0], [[math.nan]], [1.0]),
+            lambda: GaussianMixture([1.0], [[0.0]], [math.inf]),
+            lambda: NoiseLevelDistribution(math.nan, 1.0),
+            lambda: NoiseLevelDistribution(0.0, math.inf),
+            lambda: SigmaSchedule(np.array([80.0, math.nan, 0.0])),
+            lambda: SigmaSchedule(np.array([math.inf, 1.0, 0.0])),
+            lambda: GuidanceSchedule("triangular", math.nan, 2.0, 5),
+            lambda: GuidanceSchedule("triangular", 1.0, math.inf, 5),
+            lambda: Preconditioner("sd21-discrete", np.array([1.0, math.nan])),
+            lambda: Preconditioner().coefficients(math.inf),
+            lambda: Preconditioner().coefficients(math.nan),
+            lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1), guidance=math.nan),
+            lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1),
+                                guidance=[1.0, math.inf, 1.0]),
+        ],
+        ids=["gm-weight-nan", "gm-weight-inf", "gm-mean-nan", "gm-variance-inf",
+             "p_mean-nan", "p_std-inf", "schedule-nan", "schedule-inf",
+             "guidance-w_min-nan", "guidance-w_max-inf", "sigma-table-nan", "sigma-inf",
+             "sigma-nan", "ddim-guidance-nan", "ddim-step-guidance-inf"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()

@@ -282,9 +282,11 @@ class TestPoseValidation:
             lambda: Camera(CameraPose(10.0, 0.0), math.nan),
             lambda: Camera(CameraPose(10.0, 0.0), math.inf),
             lambda: Camera(CameraPose(10.0, 0.0), 2.0, math.nan),
+            lambda: DynamicOrbitParams(azimuth_noise_std_deg=math.nan),
+            lambda: DynamicOrbitParams(azimuth_noise_std_deg=math.inf),
         ],
         ids=["azimuth-nan", "azimuth-inf", "elevation-nan", "distance-nan",
-             "distance-inf", "fov-nan"],
+             "distance-inf", "fov-nan", "azimuth-noise-nan", "azimuth-noise-inf"],
     )
     def test_non_finite_rejected(self, make):
         with pytest.raises(ValueError):

@@ -214,6 +214,29 @@ class TestInvariants:
         assert (covered & disc).sum() / (covered | disc).sum() >= 0.8
 
 
+class TestEmptyEnvmap:
+    """An envmap without lobes is a zero-width basis, not a special case."""
+
+    def test_light_table_is_zero(self):
+        table = LightTable(Envmap(()), n_theta=8, n_phi=16)
+        assert table.basis.shape == (8 * 16, 0)
+        np.testing.assert_array_equal(table.values, 0.0)
+        assert table.amplitude_grads(np.ones((8, 16))).shape == (0,)
+
+    def test_render_and_backward_are_finite(self):
+        light = LightTable(Envmap(()), n_theta=8, n_phi=16)
+        bundle, cache = render(scene("sdf"), camera(), light, samples_per_ray=SAMPLES,
+                               background=BACKGROUND, want_cache=True)
+        assert bundle.valid.any()
+        for name in ("rgb", "mask", "normal", "illum"):
+            assert np.all(np.isfinite(getattr(bundle, name)))
+        np.testing.assert_array_equal(bundle.illum, 0.0)
+        grads = render_backward(cache, np.ones(bundle.rgb.shape), g_illum=np.ones(bundle.mask.shape))
+        assert grads.light_amplitudes.shape == (0,)
+        for name in ("field", "albedo", "light_table"):
+            assert np.all(np.isfinite(getattr(grads, name)))
+
+
 class TestForwardMarchIsReused:
     """render_backward reads the samples the forward pass marched."""
 

@@ -133,6 +133,10 @@ class TestIrradiance:
     def test_empty_envmap(self):
         assert irradiance_many(Envmap(()), EZ[None])[0] == 0.0
 
+    def test_empty_envmap_axes_shape(self):
+        assert Envmap(()).axes.shape == (0, 3)
+        assert irradiance_basis(Envmap(()), fibonacci_sphere(5)).shape == (5, 0)
+
     def test_single_aligned_lobe(self):
         g = SphericalGaussian(EZ, 5.0, 1.0)
         env = Envmap((g,))
@@ -424,6 +428,11 @@ class TestFitEnvmap:
             bufs[field][7, 1] = value
         with pytest.raises(ValueError):
             fit_envmap([(rgb, normals, albedo)], init=default_envmap(4), iterations=2)
+
+    def test_init_without_lobes_rejected(self):
+        views = self._make_views(default_envmap(4), np.random.default_rng(21), 1, 10)
+        with pytest.raises(ValueError, match="at least one lobe"):
+            fit_envmap(views, init=Envmap(()), iterations=2)
 
     def test_masked_out_pixels_not_checked(self):
         rng = np.random.default_rng(20)
