@@ -1,8 +1,9 @@
 """The NumPy render kernel behind ``render`` and ``render_backward``.
 
-Vectorized over rays and samples.  ``forward`` marches the hit rays of a
-``render.RenderCache`` once (``_march``) and keeps that march on the cache;
-``backward`` reads it from there, so a forward+backward step marches once.
+Vectorized over rays and samples.  ``forward`` marches the hit rays once
+(``_march``) and returns that march with its per-ray sums; ``render`` keeps
+it on the ``render.RenderCache`` and ``backward`` reads it from there, so a
+forward+backward step marches once.  No hit rays means zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
 ``_interp`` is the package's trilinear gather and ``_scatter`` its adjoint.
@@ -10,6 +11,7 @@ reproducible for a given ``jitter_seed``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +73,7 @@ def _interp(values, points, corners=None):
 def _scatter(grads, points, n):
     """Adjoint of ``_interp``: accumulate (m[, c]) values at (m, 3) points onto n^3 nodes."""
     grads = np.asarray(grads, dtype=np.float64)
-    cols = grads.reshape(len(grads), -1)
+    cols = grads.reshape(len(grads), math.prod(grads.shape[1:]))
     out = np.zeros((n ** 3, cols.shape[1]))
     for idx, w in _corners(points, n):
         for c in range(cols.shape[1]):
@@ -158,14 +160,15 @@ class _March(NamedTuple):
     light: np.ndarray  # irradiance at the shading normal
 
 
-def _march(cache, ridx):
-    """Sample the hit rays ``ridx`` of ``cache`` and composite their opacities."""
-    grid = cache.grid
-    n_samples = cache.n_samples
-    t, dt, pos = _sample_points(
-        cache.origin, cache.dirs.reshape(-1, 3)[ridx], ridx,
-        cache.t0.ravel()[ridx], cache.t1.ravel()[ridx], n_samples, cache.jitter_seed,
-    )
+def _march(grid, ltable, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
+           grad_nodes, grad_sign, normals):
+    """Sample the hit rays and composite their opacities.
+
+    ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
+    hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
+    normals, or None to take them from ``grad_nodes`` with ``grad_sign``.
+    """
+    t, dt, pos = _sample_points(origin, dirs, pix, t0, t1, n_samples, jitter_seed)
     flat = pos.reshape(-1, 3)
     shape = pos.shape[:2]
     corners = list(_corners(flat, grid.resolution))
@@ -173,51 +176,31 @@ def _march(cache, ridx):
     dens = sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f
     dens = dens.reshape(shape)
     alb = _interp(grid.albedo, flat, corners).reshape(shape + (3,))
-    if cache.normals_override is None:
-        gvec = _interp(cache.grad_nodes, flat, corners)
-        normals = _unit_normals(gvec, cache.grad_sign).reshape(shape + (3,))
-    else:
-        normals = cache.normals_override.reshape(-1, n_samples, 3)[ridx]
+    if normals is None:
+        gvec = _interp(grad_nodes, flat, corners)
+        normals = _unit_normals(gvec, grad_sign).reshape(shape + (3,))
     # The corner table is 16 arrays of the sample count; free it before compositing.
     del corners
     a = -np.expm1(-dens * dt[:, None])
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
-    light = table_lookup(cache.light.values, normals)
+    light = table_lookup(ltable, normals)
     return _March(t, dt, pos, dens, alb, normals, a, trans, t_exc, w, light)
 
 
-def forward(cache, want_sample_normals=False):
-    """Composite the rays of ``cache``.
+def forward(background, *march_inputs):
+    """Composite the hit rays given by ``march_inputs`` (the arguments of ``_march``).
 
-    Returns (rgb, mask, depth_acc, illum_acc, sample_normals): the weight
-    sums of depth and irradiance are not yet divided by the mask, and
-    ``sample_normals`` is None unless asked for.  The march is stored in
-    ``cache.march`` for ``backward``.
+    Returns (march, rgb, mask, depth_acc, illum_acc), each sum one value
+    per hit ray: the weight sums of depth and irradiance are not yet
+    divided by the mask.  ``backward`` reads the march and does not march
+    again.
     """
-    height, width = cache.dirs.shape[:2]
-    n_samples = cache.n_samples
-    rgb = np.tile(cache.background, (height, width, 1))
-    mask = np.zeros((height, width))
-    depth_acc = np.zeros((height, width))
-    illum_acc = np.zeros((height, width))
-    sample_normals = (
-        np.zeros((height, width, n_samples, 3)) if want_sample_normals else None
-    )
-    ridx = np.flatnonzero(cache.hit.ravel())
-    if ridx.size == 0:
-        return rgb, mask, depth_acc, illum_acc, sample_normals
-    m = cache.march = _march(cache, ridx)
-    rgb_rays = np.einsum("rs,rsc->rc", m.w * m.light, m.alb)
-    rgb_rays += m.trans[:, -1:] * cache.background[None, :]
-    rgb.reshape(-1, 3)[ridx] = rgb_rays
-    mask.ravel()[ridx] = m.w.sum(axis=1)
-    depth_acc.ravel()[ridx] = (m.w * m.t).sum(axis=1)
-    illum_acc.ravel()[ridx] = (m.w * m.light).sum(axis=1)
-    if want_sample_normals:
-        sample_normals.reshape(-1, n_samples, 3)[ridx] = m.normals
-    return rgb, mask, depth_acc, illum_acc, sample_normals
+    m = _march(*march_inputs)
+    rgb = np.einsum("rs,rsc->rc", m.w * m.light, m.alb)
+    rgb += m.trans[:, -1:] * background[None, :]
+    return m, rgb, m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
 
 
 def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
@@ -228,15 +211,12 @@ def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
     dot(g_rgb, albedo_j) * L_j + g_w_const + g_w_t * t_j + g_w_light * L_j;
     the final-transmittance background term is handled via the suffix sum.
     Shading normals are treated as constants (stop-gradient), so no
-    derivative flows through ``grad_nodes``.  The samples are the ones
-    ``forward`` marched (``cache.march``), which this only reads.
+    derivative flows through the gradient nodes.  The samples are the ones
+    ``forward`` marched (``cache.march`` of the rays ``cache.ridx``).
     """
     grid = cache.grid
     n = grid.resolution
-    ridx = np.flatnonzero(cache.hit.ravel())
-    if ridx.size == 0:
-        g_table = np.zeros(cache.light.values.shape)
-        return np.zeros((n, n, n)), np.zeros((n, n, n, 3)), g_table
+    ridx = cache.ridx
     m = cache.march
 
     grgb = g_rgb.reshape(-1, 3)[ridx]

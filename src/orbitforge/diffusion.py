@@ -92,7 +92,7 @@ def denoise(precond, raw_net, x, sigma, cond=None):
 def score_from_denoiser(d_value, x, sigma):
     """Score of the noised marginal: (D(x; sigma) - x) / sigma^2."""
     sigma = float(sigma)
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     d_value = np.asarray(d_value, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -196,13 +196,11 @@ def analytic_gm_denoiser(mixture, x, sigma):
     and serves as the stand-in for a trained denoiser.  ``sigma`` may be a
     scalar or a per-row vector matching a batched ``x``.
     """
-    if mixture.n_components == 0:
-        raise ValueError("empty mixture")
     x_arr = np.asarray(x, dtype=np.float64)
     single = x_arr.ndim == 1
     xb = np.atleast_2d(x_arr)
     sig = np.asarray(sigma, dtype=np.float64)
-    if np.any(sig < 0.0):
+    if not np.all(sig >= 0.0):
         raise ValueError("sigma must be >= 0")
     if sig.ndim == 0 and float(sig) == 0.0:
         return x_arr.copy()
@@ -346,12 +344,9 @@ def ddim_sample(
     denoiser,
     schedule,
     *,
+    x_init,
     cond=None,
     guidance: Union[float, Sequence[float]] = 1.0,
-    x_init=None,
-    rng=None,
-    n_samples=None,
-    dim=None,
 ):
     """Deterministic Euler integration of the probability-flow ODE.
 
@@ -362,13 +357,7 @@ def ddim_sample(
     """
     sig = schedule.sigmas
     n_steps = schedule.n_steps
-    if x_init is None:
-        if rng is None or dim is None:
-            raise ValueError("provide x_init, or rng and dim")
-        shape = (dim,) if n_samples is None else (n_samples, dim)
-        x = sig[0] * rng.standard_normal(shape)
-    else:
-        x = np.array(x_init, dtype=np.float64, copy=True)
+    x = np.array(x_init, dtype=np.float64, copy=True)
     w_arr = np.asarray(guidance, dtype=np.float64)
     if w_arr.ndim == 0:
         w_arr = np.full(n_steps, float(w_arr))
@@ -408,8 +397,8 @@ class GuidanceSchedule:
         if not (0.0 <= self.w_min < math.inf and 0.0 <= self.w_max < math.inf):
             raise ValueError("guidance strengths must be finite and >= 0")
         k_min = 2 if self.kind == "linear" else 1
-        if self.k < k_min:
-            raise ValueError(f"{self.kind} schedule needs k >= {k_min}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < k_min:
+            raise ValueError(f"{self.kind} schedule needs an integer k >= {k_min}")
 
     def at(self, i):
         """CFG strength of frame i."""

@@ -21,14 +21,13 @@ the ``RenderCache``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _render_np
 from .grid import ImageBundle, SceneGrid, node_gradient
 from .orbits import camera_matrix
-from .sg import Envmap, irradiance_basis
+from .sg import irradiance_basis
 
 __all__ = [
     "LightTable",
@@ -50,7 +49,6 @@ class LightTable:
     """
 
     def __init__(self, envmap, n_theta=64, n_phi=128):
-        self.envmap = envmap
         self.n_theta = n_theta
         self.n_phi = n_phi
         theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
@@ -64,12 +62,7 @@ class LightTable:
 
     def set_amplitudes(self, amplitudes):
         self.amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        self.values = np.ascontiguousarray(
-            (self.basis @ self.amplitudes).reshape(self.n_theta, self.n_phi)
-        )
-
-    def lookup(self, normals):
-        return _render_np.table_lookup(self.values, np.asarray(normals, dtype=np.float64))
+        self.values = (self.basis @ self.amplitudes).reshape(self.n_theta, self.n_phi)
 
     def amplitude_grads(self, g_table):
         """Chain a per-bin gradient through the amplitude-linear basis."""
@@ -89,7 +82,7 @@ def camera_rays(camera):
     d_cam = np.stack([x, y, np.ones_like(x)], axis=-1)
     d_world = d_cam @ rot  # rows of rot are camera axes, so this is R^T d
     d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
-    return np.asarray(camera.position), np.ascontiguousarray(d_world)
+    return np.asarray(camera.position), d_world
 
 
 def intersect_unit_cube(origin, dirs):
@@ -105,35 +98,26 @@ def intersect_unit_cube(origin, dirs):
     t1 = np.min(far, axis=-1)
     t0 = np.maximum(t0, 0.0)
     hit = t1 > t0
-    return np.ascontiguousarray(t0), np.ascontiguousarray(t1), np.ascontiguousarray(hit)
+    return t0, t1, hit
 
 
 @dataclass
 class RenderCache:
-    """What the backward pass needs: the inputs and the forward march.
+    """What ``render_backward`` reads: the inputs it differentiates and the forward march.
 
-    ``march`` holds the forward pass's per-sample tensors of the hit rays
-    (None when no ray hits the cube); ``render_backward`` reads them and
-    does not march again.
+    ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
+    indices are ``ridx``; ``mask``, ``depth_acc`` and ``illum_acc`` are the
+    un-normalized weight sums per pixel.
     """
 
     grid: SceneGrid
     light: LightTable
-    origin: np.ndarray
-    dirs: np.ndarray
-    hit: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
-    n_samples: int
-    jitter_seed: int
     background: np.ndarray
-    grad_nodes: np.ndarray
-    grad_sign: float
-    normals_override: Optional[np.ndarray]
+    ridx: np.ndarray
+    march: _render_np._March
     mask: np.ndarray
     depth_acc: np.ndarray
     illum_acc: np.ndarray
-    march: Optional[_render_np._March]
 
 
 @dataclass
@@ -144,6 +128,13 @@ class RenderGrads:
     albedo: np.ndarray
     light_table: np.ndarray
     light_amplitudes: np.ndarray
+
+
+def _on_pixels(shape, ridx, rays, fill):
+    """An image of ``shape`` holding ``fill``, with ``rays`` at the flat pixels ``ridx``."""
+    image = np.full(shape + rays.shape[1:], fill)
+    image.reshape((-1,) + rays.shape[1:])[ridx] = rays
+    return image
 
 
 def render(
@@ -158,64 +149,48 @@ def render(
     want_cache=False,
     want_sample_normals=False,
 ):
-    """Render an ImageBundle from a SceneGrid.
+    """Render an ImageBundle from a SceneGrid lit by a LightTable.
 
-    ``light`` is a LightTable (or an Envmap, converted on the fly).  With
-    ``want_cache`` the returned cache holds the forward march for
+    With ``want_cache`` the returned cache holds the forward march for
     ``render_backward``; ``normals_override`` substitutes frozen per-sample
     shading normals, which realizes the stop-gradient semantics for
     finite-difference checks.
     """
     if samples_per_ray < 2:
         raise ValueError("samples_per_ray must be >= 2")
-    if isinstance(light, Envmap):
-        light = LightTable(light)
     origin, dirs = camera_rays(camera)
     t0, t1, hit = intersect_unit_cube(origin, dirs)
+    ridx = np.flatnonzero(hit)
     grad_sign = 1.0 if grid.kind == "sdf" else -1.0
     grad_nodes = node_gradient(grid.field, grid.spacing)
     background = np.asarray(background, dtype=np.float64)
-    cache = RenderCache(
-        grid=grid,
-        light=light,
-        origin=origin,
-        dirs=dirs,
-        hit=hit,
-        t0=t0,
-        t1=t1,
-        n_samples=samples_per_ray,
-        jitter_seed=jitter_seed,
-        background=background,
-        grad_nodes=grad_nodes,
-        grad_sign=grad_sign,
-        normals_override=normals_override,
-        mask=None,
-        depth_acc=None,
-        illum_acc=None,
-        march=None,
+    frozen = (
+        None if normals_override is None
+        else normals_override.reshape(-1, samples_per_ray, 3)[ridx]
     )
-    rgb, mask, depth_acc, illum_acc, sample_normals = _render_np.forward(
-        cache, want_sample_normals
+    march, *sums = _render_np.forward(
+        background, grid, light.values, origin, dirs.reshape(-1, 3)[ridx], t0.ravel()[ridx],
+        t1.ravel()[ridx], ridx, samples_per_ray, jitter_seed, grad_nodes, grad_sign, frozen,
     )
-    cache.mask = mask
-    cache.depth_acc = depth_acc
-    cache.illum_acc = illum_acc
+    rgb, mask, depth_acc, illum_acc = (
+        _on_pixels(hit.shape, ridx, rays, fill)
+        for rays, fill in zip(sums, (background, 0.0, 0.0, 0.0))
+    )
     valid = mask >= ImageBundle.VALID_MASK
     depth = np.full(mask.shape, np.inf)
     depth[valid] = depth_acc[valid] / mask[valid]
     illum = np.zeros(mask.shape)
     illum[valid] = illum_acc[valid] / mask[valid]
     normal = np.zeros(dirs.shape)
-    if np.any(valid):
-        pts = origin[None, :] + depth[valid, None] * dirs[valid]
-        gvec = _render_np._interp(grad_nodes, pts)
-        normal[valid] = _render_np._unit_normals(gvec, grad_sign)
+    pts = origin[None, :] + depth[valid, None] * dirs[valid]
+    gvec = _render_np._interp(grad_nodes, pts)
+    normal[valid] = _render_np._unit_normals(gvec, grad_sign)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:
-        out.append(cache)
+        out.append(RenderCache(grid, light, background, ridx, march, mask, depth_acc, illum_acc))
     if want_sample_normals:
-        out.append(sample_normals)
+        out.append(_on_pixels(hit.shape, ridx, march.normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
 
 
@@ -227,8 +202,6 @@ def render_backward(cache, g_rgb, g_mask=None, g_depth=None, g_illum=None):
     mask normalization.  Pixels whose depth is the +inf miss sentinel
     must carry zero upstream depth gradient.
     """
-    if cache.mask is None:
-        raise ValueError("cache is missing forward results")
     shape = cache.mask.shape
     g_rgb = np.asarray(g_rgb, dtype=np.float64)
     if g_rgb.shape != shape + (3,):

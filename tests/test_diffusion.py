@@ -320,9 +320,7 @@ class TestDdimSample:
         out = ddim_sample(
             lambda x, s, c=None: analytic_gm_denoiser(mix, x, s),
             sched,
-            rng=rng,
-            n_samples=10_000,
-            dim=2,
+            x_init=sched[0] * rng.standard_normal((10_000, 2)),
         )
         mean = out.mean(axis=0)
         std = out.std(axis=0)
@@ -398,12 +396,17 @@ class TestGuidanceSchedule:
     @pytest.mark.parametrize(
         "kind, w_min, w_max, k",
         [("linear", 1.0, 2.0, 1), ("linear", -3.0, 2.0, 5), ("triangular", 1.0, -0.5, 5),
-         ("constant", 1.0, 2.0, 0), ("cosine", 1.0, 2.0, 5)],
-        ids=["linear-k1", "negative-w_min", "negative-w_max", "k0", "unknown-kind"],
+         ("constant", 1.0, 2.0, 0), ("cosine", 1.0, 2.0, 5), ("triangular", 1.0, 2.0, 2.5)],
+        ids=["linear-k1", "negative-w_min", "negative-w_max", "k0", "unknown-kind",
+             "k-not-integer"],
     )
     def test_rejected_at_construction(self, kind, w_min, w_max, k):
         with pytest.raises(ValueError):
             GuidanceSchedule(kind, w_min, w_max, k)
+
+    def test_numpy_integer_k_accepted(self):
+        values = GuidanceSchedule("triangular", 1.0, 2.0, np.int64(3)).values()
+        np.testing.assert_array_equal(values, GuidanceSchedule("triangular", 1.0, 2.0, 3).values())
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=50, deadline=None)
@@ -422,7 +425,8 @@ class TestGuidanceSchedule:
 
 
 _SCHEDULE = make_sigma_schedule(10.0, 0.01, 3)
-_DENOISER = GaussianMixtureDenoiser({None: GaussianMixture([1.0], [[0.0]], [1.0])})
+_MIXTURE = GaussianMixture([1.0], [[0.0]], [1.0])
+_DENOISER = GaussianMixtureDenoiser({None: _MIXTURE})
 
 
 class TestRejectsNonFinite:
@@ -445,11 +449,15 @@ class TestRejectsNonFinite:
             lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1), guidance=math.nan),
             lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1),
                                 guidance=[1.0, math.inf, 1.0]),
+            lambda: score_from_denoiser(np.ones(2), np.zeros(2), math.nan),
+            lambda: analytic_gm_denoiser(_MIXTURE, np.zeros(1), math.nan),
+            lambda: analytic_gm_denoiser(_MIXTURE, np.zeros((2, 1)), np.array([1.0, math.nan])),
         ],
         ids=["gm-weight-nan", "gm-weight-inf", "gm-mean-nan", "gm-variance-inf",
              "p_mean-nan", "p_std-inf", "schedule-nan", "schedule-inf",
              "guidance-w_min-nan", "guidance-w_max-inf", "sigma-table-nan", "sigma-inf",
-             "sigma-nan", "ddim-guidance-nan", "ddim-step-guidance-inf"],
+             "sigma-nan", "ddim-guidance-nan", "ddim-step-guidance-inf", "score-sigma-nan",
+             "gm-denoiser-sigma-nan", "gm-denoiser-row-sigma-nan"],
     )
     def test_rejected(self, make):
         with pytest.raises(ValueError):

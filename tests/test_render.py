@@ -214,6 +214,45 @@ class TestInvariants:
         assert (covered & disc).sum() / (covered | disc).sum() >= 0.8
 
 
+class TestNoRayHitsTheCube:
+    """A view whose rays all miss the cube is zero hit rays, not a special case."""
+
+    @pytest.mark.parametrize("kind", ["density", "sdf"])
+    def test_background_only_with_zero_gradients(self, kind):
+        grid = scene(kind)
+        light = light_table()
+        # At distance 2 a 170-degree field of view puts all four pixel centres outside the cube.
+        cam = Camera(CameraPose(20.0, 35.0), 2.0, width=2, height=2, fov_deg=170.0)
+        assert not intersect_unit_cube(*camera_rays(cam))[2].any()
+        bundle, cache, normals = render(
+            grid, cam, light, samples_per_ray=SAMPLES, background=BACKGROUND,
+            want_cache=True, want_sample_normals=True,
+        )
+        self.assert_background(bundle)
+        assert normals.shape == (2, 2, SAMPLES, 3)
+        np.testing.assert_array_equal(normals, 0.0)
+        rng = np.random.default_rng(4)
+        grads = render_backward(cache, rng.standard_normal((2, 2, 3)),
+                                rng.standard_normal((2, 2)), np.zeros((2, 2)),
+                                rng.standard_normal((2, 2)))
+        expected = {"field": (N, N, N), "albedo": (N, N, N, 3),
+                    "light_table": light.values.shape,
+                    "light_amplitudes": light.amplitudes.shape}
+        for name, shape in expected.items():
+            assert getattr(grads, name).shape == shape
+            np.testing.assert_array_equal(getattr(grads, name), 0.0)
+        self.assert_background(render(grid, cam, light, samples_per_ray=SAMPLES,
+                                      background=BACKGROUND, normals_override=normals))
+
+    @staticmethod
+    def assert_background(bundle):
+        np.testing.assert_array_equal(bundle.rgb, np.broadcast_to(BACKGROUND, bundle.rgb.shape))
+        np.testing.assert_array_equal(bundle.mask, 0.0)
+        assert np.all(bundle.depth == np.inf)
+        np.testing.assert_array_equal(bundle.normal, 0.0)
+        np.testing.assert_array_equal(bundle.illum, 0.0)
+
+
 class TestEmptyEnvmap:
     """An envmap without lobes is a zero-width basis, not a special case."""
 
