@@ -7,6 +7,19 @@ forward+backward step marches once.  No hit rays means zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
 ``_interp`` is the package's trilinear gather and ``_scatter`` its adjoint.
+
+A forward-only render of a density grid skips empty space exactly: it
+gathers field, albedo and normals, and looks up the light, only at samples
+whose cell has a nonzero corner (``_occupied_samples``), and takes those normals
+from the gathered corners (``_interp_gradient``) instead of a full-grid
+gradient.  Every other sample would interpolate density 0, so its opacity
+and weight are exactly 0 and its albedo and light terms multiply 0; the
+composited buffers keep their bits.  Backward needs those samples, since
+their field gradient is not 0, and an SDF's density never reaches 0, so
+the training path and SDF grids march every sample.  So does a density
+render whose occupied samples are more than ``_SKIP_MAX_SHARE`` of them
+(a smooth density has no exact zeros), where picking them costs more than
+it saves.
 """
 
 from __future__ import annotations
@@ -22,6 +35,10 @@ _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
 _C3 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
+# Above this share of occupied samples a forward-only density render gathers
+# every sample: on 64^3 and 128^3 density spheres, 64x64 views with 64 samples
+# per ray, picking the occupied ones was slower from a share of 0.6-0.85 up.
+_SKIP_MAX_SHARE = 0.5
 
 
 def hash01(pixel, sample, seed):
@@ -39,15 +56,20 @@ def hash01(pixel, sample, seed):
     return (h >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-def _corners(points, n):
-    """Flat node index and trilinear weight of the 8 lattice corners around each point.
+def _cells(points, n):
+    """Lattice cell (its lowest node's (..., 3) index) and offset in it of each point.
 
     Points are world positions in the cube [-0.5, 0.5]^3 spanned by the
     n^3 nodes; points outside it clamp to the boundary.
     """
     g = np.clip((points + 0.5) * (n - 1), 0.0, n - 1 - 1e-9)
     i0 = np.floor(g).astype(np.int64)
-    f = g - i0
+    return i0, g - i0
+
+
+def _corners(points, n):
+    """Flat node index and trilinear weight of the 8 lattice corners around each point."""
+    i0, f = _cells(points, n)
     x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
     fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
     for dx, wx in ((0, 1 - fx), (1, fx)):
@@ -68,6 +90,53 @@ def _interp(values, points, corners=None):
     for idx, w in _corners(points, n) if corners is None else corners:
         out = out + np.take(flat, idx, axis=0) * (w if values.ndim == 3 else w[..., None])
     return out
+
+
+def _interp_gradient(field, spacing, points, corners=None):
+    """``_interp(node_gradient(field, spacing), points)`` from the gathered corners alone.
+
+    Each corner's gradient is computed with ``np.gradient``'s arithmetic:
+    (f[i+1] - f[i-1]) / (2.0*h) inside the grid and one-sided differences
+    divided by h on its faces, so the result is bitwise the full-grid one.
+    ``corners`` is as for ``_interp``.
+    """
+    n = field.shape[0]
+    flat = field.reshape(-1)
+    out = 0.0
+    for idx, w in _corners(points, n) if corners is None else corners:
+        gvec = np.empty(idx.shape + (3,))
+        for axis, stride in enumerate((n * n, n, 1)):
+            i = idx // stride % n
+            up = np.where(i < n - 1, idx + stride, idx)
+            down = np.where(i > 0, idx - stride, idx)
+            h = np.where((i > 0) & (i < n - 1), 2.0 * spacing, spacing)
+            gvec[..., axis] = (flat[up] - flat[down]) / h
+        out = out + gvec * w[..., None]
+    return out
+
+
+def _occupancy(nonzero):
+    """(n-1)^3 cell mask from an n^3 node mask: True where any of the cell's 8 corners is."""
+    occ = nonzero[1:] | nonzero[:-1]
+    occ = occ[:, 1:] | occ[:, :-1]
+    return occ[:, :, 1:] | occ[:, :, :-1]
+
+
+def _occupied_samples(field, points):
+    """Flat indices of the points that fall in a cell with a nonzero corner.
+
+    None when they are more than ``_SKIP_MAX_SHARE`` of the points: gathering
+    every point is then faster than picking and gathering the occupied ones.
+    """
+    nonzero = field != 0.0
+    if nonzero.all():
+        return None  # every cell is occupied
+    m = field.shape[0] - 1
+    cell, _ = _cells(points, m + 1)
+    occupied = _occupancy(nonzero).reshape(-1)[(cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]]
+    if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * points.shape[0]:
+        return None
+    return np.flatnonzero(occupied)
 
 
 def _scatter(grads, points, n):
@@ -160,32 +229,61 @@ class _March(NamedTuple):
     light: np.ndarray  # irradiance at the shading normal
 
 
+def _place(shape, idx, values, fill):
+    """An array of ``shape`` holding ``fill``, with ``values`` rows at flat positions ``idx``."""
+    out = np.full(shape + values.shape[1:], fill)
+    out.reshape((-1,) + values.shape[1:])[idx] = values
+    return out
+
+
 def _march(grid, ltable, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
-           grad_nodes, grad_sign, normals):
+           skip_empty, grad_nodes, grad_sign, normals):
     """Sample the hit rays and composite their opacities.
 
     ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
     hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
-    normals, or None to take them from ``grad_nodes`` with ``grad_sign``.
+    normals, or None to take them from the node gradients that the
+    zero-argument ``grad_nodes`` returns, with ``grad_sign``.  With
+    ``skip_empty`` (a forward-only density render) only the samples of
+    occupied cells are gathered, their normals from the corner nodes alone,
+    unless they are most of the samples (``_occupied_samples``); the others
+    keep density, albedo, normal and light 0, which leaves the composited
+    sums bitwise unchanged (module docstring).
     """
     t, dt, pos = _sample_points(origin, dirs, pix, t0, t1, n_samples, jitter_seed)
-    flat = pos.reshape(-1, 3)
     shape = pos.shape[:2]
-    corners = list(_corners(flat, grid.resolution))
-    f = _interp(grid.field, flat, corners)
-    dens = sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f
-    dens = dens.reshape(shape)
-    alb = _interp(grid.albedo, flat, corners).reshape(shape + (3,))
+    flat = pos.reshape(-1, 3)
+    keep = _occupied_samples(grid.field, flat) if skip_empty else None
+    # Before the corner table, so that node_gradient's temporaries do not add to it.
+    nodes = grad_nodes() if normals is None and keep is None else None
+
+    def pick(rows):
+        return rows if keep is None else rows[keep]
+
+    def full(rows):
+        if keep is None:
+            return rows.reshape(shape + rows.shape[1:])
+        return _place(shape, keep, rows, 0.0)
+
+    pts = pick(flat)
+    corners = list(_corners(pts, grid.resolution))
+    f = _interp(grid.field, pts, corners)
+    dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f)
+    alb = full(_interp(grid.albedo, pts, corners))
     if normals is None:
-        gvec = _interp(grad_nodes, flat, corners)
-        normals = _unit_normals(gvec, grad_sign).reshape(shape + (3,))
+        gvec = (_interp(nodes, pts, corners) if keep is None
+                else _interp_gradient(grid.field, grid.spacing, pts, corners))
+        shading = _unit_normals(gvec, grad_sign)
+        normals = full(shading)
+    else:
+        shading = pick(normals.reshape(-1, 3))
     # The corner table is 16 arrays of the sample count; free it before compositing.
     del corners
     a = -np.expm1(-dens * dt[:, None])
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
-    light = table_lookup(ltable, normals)
+    light = full(table_lookup(ltable, shading))
     return _March(t, dt, pos, dens, alb, normals, a, trans, t_exc, w, light)
 
 

@@ -180,7 +180,7 @@ class GaussianMixture:
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
-        if float(np.min(np.asarray(sigma))) < 0.0:
+        if not np.all(np.asarray(sigma) >= 0.0):
             raise ValueError("sigma must be >= 0")
         logp, _, _ = self._component_logpdf(x, sigma)
         logw = np.log(self.weights)[None, :]

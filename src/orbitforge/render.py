@@ -130,13 +130,6 @@ class RenderGrads:
     light_amplitudes: np.ndarray
 
 
-def _on_pixels(shape, ridx, rays, fill):
-    """An image of ``shape`` holding ``fill``, with ``rays`` at the flat pixels ``ridx``."""
-    image = np.full(shape + rays.shape[1:], fill)
-    image.reshape((-1,) + rays.shape[1:])[ridx] = rays
-    return image
-
-
 def render(
     grid,
     camera,
@@ -152,28 +145,40 @@ def render(
     """Render an ImageBundle from a SceneGrid lit by a LightTable.
 
     With ``want_cache`` the returned cache holds the forward march for
-    ``render_backward``; ``normals_override`` substitutes frozen per-sample
-    shading normals, which realizes the stop-gradient semantics for
-    finite-difference checks.
+    ``render_backward``; ``normals_override`` substitutes frozen
+    (height, width, samples_per_ray, 3) shading normals, which realizes the
+    stop-gradient semantics for finite-difference checks.
+
+    A density grid rendered for its bundle alone (neither ``want_cache`` nor
+    ``want_sample_normals``) gathers only the samples in cells with a nonzero
+    corner density, unless those are most of the samples.  This is exact:
+    every other sample would get density 0, so opacity and compositing
+    weight 0, and its albedo and light terms multiply that 0.  Backward
+    needs those samples (their field gradient is not 0), and an SDF's
+    density is never 0, so both march every sample.
     """
     if samples_per_ray < 2:
         raise ValueError("samples_per_ray must be >= 2")
     origin, dirs = camera_rays(camera)
     t0, t1, hit = intersect_unit_cube(origin, dirs)
+    sample_shape = hit.shape + (samples_per_ray, 3)
+    if normals_override is not None and np.shape(normals_override) != sample_shape:
+        raise ValueError(f"normals_override must have shape {sample_shape}")
     ridx = np.flatnonzero(hit)
     grad_sign = 1.0 if grid.kind == "sdf" else -1.0
-    grad_nodes = node_gradient(grid.field, grid.spacing)
+    skip_empty = grid.kind == "density" and not (want_cache or want_sample_normals)
     background = np.asarray(background, dtype=np.float64)
     frozen = (
         None if normals_override is None
-        else normals_override.reshape(-1, samples_per_ray, 3)[ridx]
+        else np.asarray(normals_override).reshape(-1, samples_per_ray, 3)[ridx]
     )
     march, *sums = _render_np.forward(
         background, grid, light.values, origin, dirs.reshape(-1, 3)[ridx], t0.ravel()[ridx],
-        t1.ravel()[ridx], ridx, samples_per_ray, jitter_seed, grad_nodes, grad_sign, frozen,
+        t1.ravel()[ridx], ridx, samples_per_ray, jitter_seed, skip_empty,
+        lambda: node_gradient(grid.field, grid.spacing), grad_sign, frozen,
     )
     rgb, mask, depth_acc, illum_acc = (
-        _on_pixels(hit.shape, ridx, rays, fill)
+        _render_np._place(hit.shape, ridx, rays, fill)
         for rays, fill in zip(sums, (background, 0.0, 0.0, 0.0))
     )
     valid = mask >= ImageBundle.VALID_MASK
@@ -183,14 +188,14 @@ def render(
     illum[valid] = illum_acc[valid] / mask[valid]
     normal = np.zeros(dirs.shape)
     pts = origin[None, :] + depth[valid, None] * dirs[valid]
-    gvec = _render_np._interp(grad_nodes, pts)
+    gvec = _render_np._interp_gradient(grid.field, grid.spacing, pts)
     normal[valid] = _render_np._unit_normals(gvec, grad_sign)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:
         out.append(RenderCache(grid, light, background, ridx, march, mask, depth_acc, illum_acc))
     if want_sample_normals:
-        out.append(_on_pixels(hit.shape, ridx, march.normals, 0.0))
+        out.append(_render_np._place(hit.shape, ridx, march.normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
 
 

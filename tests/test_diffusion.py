@@ -452,12 +452,14 @@ class TestRejectsNonFinite:
             lambda: score_from_denoiser(np.ones(2), np.zeros(2), math.nan),
             lambda: analytic_gm_denoiser(_MIXTURE, np.zeros(1), math.nan),
             lambda: analytic_gm_denoiser(_MIXTURE, np.zeros((2, 1)), np.array([1.0, math.nan])),
+            lambda: _MIXTURE.log_marginal(np.zeros((2, 1)), math.nan),
         ],
         ids=["gm-weight-nan", "gm-weight-inf", "gm-mean-nan", "gm-variance-inf",
              "p_mean-nan", "p_std-inf", "schedule-nan", "schedule-inf",
              "guidance-w_min-nan", "guidance-w_max-inf", "sigma-table-nan", "sigma-inf",
              "sigma-nan", "ddim-guidance-nan", "ddim-step-guidance-inf", "score-sigma-nan",
-             "gm-denoiser-sigma-nan", "gm-denoiser-row-sigma-nan"],
+             "gm-denoiser-sigma-nan", "gm-denoiser-row-sigma-nan",
+             "log-marginal-sigma-nan"],
     )
     def test_rejected(self, make):
         with pytest.raises(ValueError):

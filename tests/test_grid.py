@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orbitforge import _render_np
-from orbitforge.grid import SceneGrid
+from orbitforge.grid import SceneGrid, node_gradient
 
 N = 5
 
@@ -47,6 +47,93 @@ class TestInterpScatterAdjoint:
         np.testing.assert_allclose(
             _render_np._interp(values, centre)[0], values[:2, :2, :2].mean(axis=(0, 1, 2))
         )
+
+
+def _reference_occupancy(field):
+    """The max over each cell's 8 corners of |field|, compared with 0."""
+    n = field.shape[0]
+    corners = [np.abs(field[dx:n - 1 + dx, dy:n - 1 + dy, dz:n - 1 + dz])
+               for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+    return np.max(corners, axis=0) > 0.0
+
+
+def _sparse_field(seed, n=N):
+    """Random values on about a fifth of the nodes and exact zeros elsewhere."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.uniform(size=(n, n, n)) < 0.2, rng.standard_normal((n, n, n)), 0.0)
+
+
+class TestOccupancy:
+    @pytest.mark.parametrize(
+        "node",
+        [(0, 0, 0), (N - 1, N - 1, N - 1), (0, 2, 0), (N - 1, 0, 3), (0, 2, 3), (1, N - 1, 2),
+         (2, 2, 2)],
+        ids=["grid-corner", "far-grid-corner", "edge", "far-edge", "face", "far-face",
+             "interior"],
+    )
+    def test_single_nonzero_node(self, node):
+        field = np.zeros((N, N, N))
+        field[node] = -2.0
+        occupied = _render_np._occupancy(field != 0.0)
+        np.testing.assert_array_equal(occupied, _reference_occupancy(field))
+        # One cell per axis on which the node sits on the boundary, two per axis inside.
+        assert occupied.sum() == np.prod([1 if i in (0, N - 1) else 2 for i in node])
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_corner_max(self, seed):
+        field = _sparse_field(seed)
+        np.testing.assert_array_equal(_render_np._occupancy(field != 0.0),
+                                      _reference_occupancy(field))
+
+    @given(points=points_strategy, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_unoccupied_samples_gather_zero(self, points, seed):
+        field = _sparse_field(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_render_np, "_SKIP_MAX_SHARE", 1.0)
+            kept = _render_np._occupied_samples(field, points)
+        rest = np.delete(points, kept, axis=0)
+        assert np.all(_render_np._interp(field, rest) == 0.0)
+
+    def test_mostly_occupied_points_are_not_picked(self):
+        points = np.random.default_rng(3).uniform(-0.5, 0.5, (200, 3))
+        field = np.zeros((N, N, N))
+        assert _render_np._occupied_samples(field, points).size == 0
+        field[2, 2, 2] = 1.0
+        kept = _render_np._occupied_samples(field, points)
+        assert 0 < kept.size <= _render_np._SKIP_MAX_SHARE * len(points)
+        field = np.ones((N, N, N))
+        assert _render_np._occupied_samples(field, points) is None
+        field[0, 0, 0] = 0.0
+        assert _render_np._occupied_samples(field, points) is None
+
+
+@st.composite
+def gradient_cases(draw):
+    """A resolution, points that reach past the cube or sit on its nodes, and a seed."""
+    n = draw(st.integers(2, 9))
+    nodes = list(-0.5 + np.arange(n) / (n - 1)) + [-0.5, 0.5]
+    coordinate = st.one_of(st.floats(-0.8, 0.8, allow_nan=False), st.sampled_from(nodes))
+    points = draw(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(3)),
+                         elements=coordinate))
+    return n, points, draw(st.integers(0, 2**32 - 1))
+
+
+class TestInterpGradient:
+    @given(case=gradient_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_grid_gradient(self, case):
+        n, points, seed = case
+        field = np.random.default_rng(seed).standard_normal((n, n, n))
+        spacing = 1.0 / (n - 1)
+        expected = _render_np._interp(node_gradient(field, spacing), points)
+        got = _render_np._interp_gradient(field, spacing, points)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        shared = _render_np._interp_gradient(field, spacing, points,
+                                             list(_render_np._corners(points, n)))
+        assert shared.tobytes() == expected.tobytes()
 
 
 def _with(array, value):

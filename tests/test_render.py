@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitforge.render as render_module
 from orbitforge import _render_np
 from orbitforge.grid import SceneGrid
 from orbitforge.orbits import Camera, CameraPose, adaptive_distance
@@ -34,6 +35,17 @@ def light_table():
         for i, axis in enumerate(fibonacci_sphere(3))
     )
     return LightTable(Envmap(lobes), n_theta=8, n_phi=16)
+
+
+FIELDS = ("rgb", "mask", "depth", "normal", "illum")
+
+
+def hard_scene(n):
+    """A density sphere with a hard edge, so that most cells have 8 exactly-zero corners."""
+    rng = np.random.default_rng(6)
+    x = np.linspace(-0.5, 0.5, n)
+    r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
+    return SceneGrid("density", np.where(r < 0.3, 30.0, 0.0), rng.uniform(0.2, 0.8, (n, n, n, 3)))
 
 
 def scene(kind):
@@ -314,3 +326,78 @@ class TestForwardMarchIsReused:
         shared = _render_np._interp(values, points,
                                     corners=list(_render_np._corners(points, N)))
         assert shared.tobytes() == _render_np._interp(values, points).tobytes()
+
+
+class TestEmptySpaceSkipping:
+    """A forward-only density render gathers only the samples of occupied cells, bit for bit."""
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        """Point counts of every ``_interp`` call."""
+        counts = []
+        interp = _render_np._interp
+
+        def recorded(values, points, corners=None):
+            counts.append(len(points))
+            return interp(values, points, corners)
+
+        monkeypatch.setattr(_render_np, "_interp", recorded)
+        return counts
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("jitter_seed", [0, 1, 7])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["own-normals", "normals-override"])
+    def test_matches_the_full_march(self, n, jitter_seed, frozen):
+        grid = hard_scene(n)
+        light = light_table()
+        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND, jitter_seed=jitter_seed)
+        if frozen:
+            normals = np.random.default_rng(jitter_seed).standard_normal((PX, PX, SAMPLES, 3))
+            kwargs["normals_override"] = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+        skipped = render(grid, camera(), light, **kwargs)
+        full, _ = render(grid, camera(), light, want_cache=True, **kwargs)
+        assert full.valid.any()
+        for name in FIELDS:
+            assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_forward_only_gathers_fewer_points(self, gathers):
+        grid = hard_scene(16)
+        marched = intersect_unit_cube(*camera_rays(camera()))[2].sum() * SAMPLES
+        render(grid, camera(), light_table(), samples_per_ray=SAMPLES)
+        assert gathers and 0 < max(gathers) < marched
+        gathers.clear()
+        render(grid, camera(), light_table(), samples_per_ray=SAMPLES, want_cache=True)
+        assert gathers and set(gathers) == {marched}
+
+    def test_sdf_and_sample_normals_march_every_sample(self, gathers):
+        marched = intersect_unit_cube(*camera_rays(camera()))[2].sum() * SAMPLES
+        render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES)
+        render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES,
+               want_sample_normals=True)
+        assert gathers and set(gathers) == {marched}
+
+    def test_dense_grid_marches_every_sample(self, gathers):
+        # Every cell of the Gaussian density has a nonzero corner, so picking
+        # the occupied samples would only add work.
+        marched = intersect_unit_cube(*camera_rays(camera()))[2].sum() * SAMPLES
+        grid = scene("density")
+        dense = render(grid, camera(), light_table(), samples_per_ray=SAMPLES)
+        assert gathers and set(gathers) == {marched}
+        full, _ = render(grid, camera(), light_table(), samples_per_ray=SAMPLES, want_cache=True)
+        for name in FIELDS:
+            assert getattr(dense, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_forward_only_takes_no_full_grid_gradient(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(render_module, "node_gradient", lambda *args: calls.append(args))
+        render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES)
+        assert calls == []
+
+
+class TestNormalsOverrideShape:
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 3), (4, 4, 3, 8), (16, 8, 3)],
+                             ids=["too-few-samples", "wrong-layout", "flat-pixels"])
+    def test_rejected(self, shape):
+        with pytest.raises(ValueError, match="normals_override"):
+            render(scene("density"), camera(px=4), light_table(), samples_per_ray=8,
+                   normals_override=np.ones(shape))
