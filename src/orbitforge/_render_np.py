@@ -1,14 +1,17 @@
 """The NumPy render kernel behind ``render`` and ``render_backward``.
 
+It owns every decision about a ray: which samples to gather, where node
+gradients come from, the shading sign and the mask normalization of depth
+and illum, with its adjoint; ``render`` only maps pixels to rays and back.
 Vectorized over rays and samples.  ``forward`` marches the hit rays once
-(``_march``) and returns that march with its per-ray sums; ``render`` keeps
+and returns that march with the per-ray buffers; ``render`` keeps
 it on the ``render.RenderCache`` and ``backward`` reads it from there, so a
 forward+backward step marches once.  No hit rays means zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
 ``_interp`` is the package's trilinear gather and ``_scatter`` its adjoint.
 
-A forward-only render of a density grid skips empty space exactly: it
+A density render whose march is not kept skips empty space exactly: it
 gathers field, albedo and normals, and looks up the light, only at samples
 whose cell has a nonzero corner (``_occupied_samples``), and takes those normals
 from the gathered corners (``_interp_gradient``) instead of a full-grid
@@ -16,7 +19,7 @@ gradient.  Every other sample would interpolate density 0, so its opacity
 and weight are exactly 0 and its albedo and light terms multiply 0; the
 composited buffers keep their bits.  Backward needs those samples, since
 their field gradient is not 0, and an SDF's density never reaches 0, so
-the training path and SDF grids march every sample.  So does a density
+a kept march and SDF grids march every sample.  So does a density
 render whose occupied samples are more than ``_SKIP_MAX_SHARE`` of them
 (a smooth density has no exact zeros), where picking them costs more than
 it saves.
@@ -29,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import sdf_to_density
+from .grid import ImageBundle, sdf_to_density
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -150,8 +153,9 @@ def _scatter(grads, points, n):
     return out.reshape((n, n, n) + grads.shape[1:])
 
 
-def _unit_normals(gvec, sign):
+def _unit_normals(grid, gvec):
     """Signed unit normals from field gradients; +z where the gradient vanishes."""
+    sign = 1.0 if grid.kind == "sdf" else -1.0  # along an SDF's gradient, against a density's
     norms = np.linalg.norm(gvec, axis=-1)
     normals = sign * gvec / np.maximum(norms, 1e-20)[..., None]
     normals[norms < 1e-12] = (0.0, 0.0, 1.0)
@@ -236,26 +240,35 @@ def _place(shape, idx, values, fill):
     return out
 
 
-def _march(grid, ltable, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
-           skip_empty, grad_nodes, grad_sign, normals):
-    """Sample the hit rays and composite their opacities.
+def _sums(m):
+    """Per-ray weight sums of a march: mask, and depth and irradiance not yet divided by it."""
+    return m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
+
+
+def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
+            normals, keep_march, node_gradient):
+    """March the hit rays once and composite them into per-ray buffers.
 
     ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
     hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
-    normals, or None to take them from the node gradients that the
-    zero-argument ``grad_nodes`` returns, with ``grad_sign``.  With
-    ``skip_empty`` (a forward-only density render) only the samples of
-    occupied cells are gathered, their normals from the corner nodes alone,
-    unless they are most of the samples (``_occupied_samples``); the others
-    keep density, albedo, normal and light 0, which leaves the composited
-    sums bitwise unchanged (module docstring).
+    normals, or None to take them from the field gradient, whose nodes the
+    caller's ``node_gradient(field, spacing)`` computes.  Unless the caller
+    keeps the march (``keep_march``), a density grid gathers only the samples
+    of occupied cells, their normals from the corner nodes alone, when those
+    are at most ``_SKIP_MAX_SHARE`` of the samples (module docstring).
+
+    Returns (march, rgb, mask, depth, normal, illum), each buffer one row per
+    hit ray: depth and illum are divided by the mask where it reaches
+    ``ImageBundle.VALID_MASK``, depth is +inf and illum and normal 0
+    elsewhere, and normal is the unit field gradient at the expected depth.
     """
     t, dt, pos = _sample_points(origin, dirs, pix, t0, t1, n_samples, jitter_seed)
     shape = pos.shape[:2]
     flat = pos.reshape(-1, 3)
+    skip_empty = grid.kind == "density" and not keep_march
     keep = _occupied_samples(grid.field, flat) if skip_empty else None
     # Before the corner table, so that node_gradient's temporaries do not add to it.
-    nodes = grad_nodes() if normals is None and keep is None else None
+    nodes = node_gradient(grid.field, grid.spacing) if normals is None and keep is None else None
 
     def pick(rows):
         return rows if keep is None else rows[keep]
@@ -273,7 +286,7 @@ def _march(grid, ltable, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
     if normals is None:
         gvec = (_interp(nodes, pts, corners) if keep is None
                 else _interp_gradient(grid.field, grid.spacing, pts, corners))
-        shading = _unit_normals(gvec, grad_sign)
+        shading = _unit_normals(grid, gvec)
         normals = full(shading)
     else:
         shading = pick(normals.reshape(-1, 3))
@@ -284,28 +297,31 @@ def _march(grid, ltable, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
     light = full(table_lookup(ltable, shading))
-    return _March(t, dt, pos, dens, alb, normals, a, trans, t_exc, w, light)
+    m = _March(t, dt, pos, dens, alb, normals, a, trans, t_exc, w, light)
+
+    rgb = np.einsum("rs,rsc->rc", w * light, alb)
+    rgb += trans[:, -1:] * background[None, :]
+    mask, depth_acc, illum_acc = _sums(m)
+    # Masked assignment, not np.where, which would divide by the zero masks too.
+    valid = mask >= ImageBundle.VALID_MASK
+    depth = np.full(mask.shape, np.inf)
+    depth[valid] = depth_acc[valid] / mask[valid]
+    illum = np.zeros(mask.shape)
+    illum[valid] = illum_acc[valid] / mask[valid]
+    normal = np.zeros(dirs.shape)
+    surface = origin[None, :] + depth[valid, None] * dirs[valid]
+    normal[valid] = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, surface))
+    return m, rgb, mask, depth, normal, illum
 
 
-def forward(background, *march_inputs):
-    """Composite the hit rays given by ``march_inputs`` (the arguments of ``_march``).
-
-    Returns (march, rgb, mask, depth_acc, illum_acc), each sum one value
-    per hit ray: the weight sums of depth and irradiance are not yet
-    divided by the mask.  ``backward`` reads the march and does not march
-    again.
-    """
-    m = _march(*march_inputs)
-    rgb = np.einsum("rs,rsc->rc", m.w * m.light, m.alb)
-    rgb += m.trans[:, -1:] * background[None, :]
-    return m, rgb, m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
-
-
-def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
+def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     """Reverse-mode derivatives of the compositing chain.
 
-    Returns the gradients of the field, the albedo and the light table.
-    Per-sample upstream on the accumulation weight w_j is
+    Takes the upstream gradients of the rgb, mask, depth and illum images and
+    returns the gradients of the field, the albedo and the light table.
+    Depth and illum are folded through their mask normalization per ray,
+    from the sums ``forward`` took of the same march.  Per-sample upstream
+    on the accumulation weight w_j is
     dot(g_rgb, albedo_j) * L_j + g_w_const + g_w_t * t_j + g_w_light * L_j;
     the final-transmittance background term is handled via the suffix sum.
     Shading normals are treated as constants (stop-gradient), so no
@@ -318,9 +334,15 @@ def backward(cache, g_rgb, g_w_const, g_w_t, g_w_light):
     m = cache.march
 
     grgb = g_rgb.reshape(-1, 3)[ridx]
-    gwc = g_w_const.ravel()[ridx]
-    gwt = g_w_t.ravel()[ridx]
-    gwl = g_w_light.ravel()[ridx]
+    g_mask, g_depth, g_illum = (g.ravel()[ridx] for g in (g_mask, g_depth, g_illum))
+    mask, depth_acc, illum_acc = _sums(m)
+    valid = mask >= ImageBundle.VALID_MASK
+    safe = np.where(valid, mask, 1.0)
+    gwt = np.where(valid, g_depth / safe, 0.0)
+    gwl = np.where(valid, g_illum / safe, 0.0)
+    gwc = g_mask + np.where(
+        valid, -(g_depth * depth_acc + g_illum * illum_acc) / (safe * safe), 0.0
+    )
 
     grgb_dot_alb = np.einsum("rc,rsc->rs", grgb, m.alb)
     g_per_w = (

@@ -241,8 +241,9 @@ class Camera:
             raise ValueError("camera distance must be positive and finite")
         if not 0.0 < self.fov_deg < 180.0:
             raise ValueError("fov must be in (0, 180)")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image size must be positive")
+        for size in (self.width, self.height):
+            if not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError("image size must be a positive integer")
 
     @property
     def position(self):

@@ -13,9 +13,10 @@ from the spherical-Gaussian envmap once per parameter update; the table
 is exactly linear in the lobe amplitudes, which makes the amplitude
 adjoint a single basis contraction.
 
-The ray march itself lives in the NumPy kernel ``_render_np``: the
-forward pass marches once and ``render_backward`` reads that march from
-the ``RenderCache``.
+This module is the pixel layer: it maps pixels to hit rays and places the
+per-ray buffers of the NumPy kernel ``_render_np``, which makes every
+decision about a ray.  The forward pass marches once and
+``render_backward`` reads that march from the ``RenderCache``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class LightTable:
     """
 
     def __init__(self, envmap, n_theta=64, n_phi=128):
+        for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+            if not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be a positive integer")
         self.n_theta = n_theta
         self.n_phi = n_phi
         theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
@@ -61,7 +65,12 @@ class LightTable:
         self.set_amplitudes(envmap.amplitudes)
 
     def set_amplitudes(self, amplitudes):
-        self.amplitudes = np.asarray(amplitudes, dtype=np.float64)
+        amplitudes = np.asarray(amplitudes, dtype=np.float64)
+        if amplitudes.shape != self.basis.shape[1:]:
+            raise ValueError(f"amplitudes must have shape {self.basis.shape[1:]}")
+        if not np.all(np.isfinite(amplitudes)):
+            raise ValueError("amplitudes must be finite")
+        self.amplitudes = amplitudes
         self.values = (self.basis @ self.amplitudes).reshape(self.n_theta, self.n_phi)
 
     def amplitude_grads(self, g_table):
@@ -106,18 +115,15 @@ class RenderCache:
     """What ``render_backward`` reads: the inputs it differentiates and the forward march.
 
     ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
-    indices are ``ridx``; ``mask``, ``depth_acc`` and ``illum_acc`` are the
-    un-normalized weight sums per pixel.
+    indices into the (height, width) image ``shape`` are ``ridx``.
     """
 
     grid: SceneGrid
     light: LightTable
     background: np.ndarray
+    shape: tuple
     ridx: np.ndarray
     march: _render_np._March
-    mask: np.ndarray
-    depth_acc: np.ndarray
-    illum_acc: np.ndarray
 
 
 @dataclass
@@ -147,53 +153,42 @@ def render(
     With ``want_cache`` the returned cache holds the forward march for
     ``render_backward``; ``normals_override`` substitutes frozen
     (height, width, samples_per_ray, 3) shading normals, which realizes the
-    stop-gradient semantics for finite-difference checks.
-
-    A density grid rendered for its bundle alone (neither ``want_cache`` nor
-    ``want_sample_normals``) gathers only the samples in cells with a nonzero
-    corner density, unless those are most of the samples.  This is exact:
-    every other sample would get density 0, so opacity and compositing
-    weight 0, and its albedo and light terms multiply that 0.  Backward
-    needs those samples (their field gradient is not 0), and an SDF's
-    density is never 0, so both march every sample.
+    stop-gradient semantics for finite-difference checks.  With
+    ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
+    normals of the march are returned too.  Either of the two keeps the
+    march, which makes the kernel march every sample (``_render_np.forward``).
     """
-    if samples_per_ray < 2:
-        raise ValueError("samples_per_ray must be >= 2")
+    if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:
+        raise ValueError("samples_per_ray must be an integer >= 2")
+    background = np.asarray(background, dtype=np.float64)
+    if background.shape != (3,) or not np.all(np.isfinite(background)):
+        raise ValueError("background must be a finite 3-vector")
     origin, dirs = camera_rays(camera)
     t0, t1, hit = intersect_unit_cube(origin, dirs)
     sample_shape = hit.shape + (samples_per_ray, 3)
     if normals_override is not None and np.shape(normals_override) != sample_shape:
         raise ValueError(f"normals_override must have shape {sample_shape}")
     ridx = np.flatnonzero(hit)
-    grad_sign = 1.0 if grid.kind == "sdf" else -1.0
-    skip_empty = grid.kind == "density" and not (want_cache or want_sample_normals)
-    background = np.asarray(background, dtype=np.float64)
     frozen = (
         None if normals_override is None
         else np.asarray(normals_override).reshape(-1, samples_per_ray, 3)[ridx]
     )
-    march, *sums = _render_np.forward(
-        background, grid, light.values, origin, dirs.reshape(-1, 3)[ridx], t0.ravel()[ridx],
-        t1.ravel()[ridx], ridx, samples_per_ray, jitter_seed, skip_empty,
-        lambda: node_gradient(grid.field, grid.spacing), grad_sign, frozen,
+    # node_gradient is this module's attribute, read at call time, so that a wrapper on
+    # render.node_gradient (the benchmark's tracing, the tests) sees the kernel's call.
+    march, *rays = _render_np.forward(
+        grid, light.values, background,
+        origin=origin, dirs=dirs.reshape(-1, 3)[ridx], t0=t0.ravel()[ridx], t1=t1.ravel()[ridx],
+        pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=frozen,
+        keep_march=want_cache or want_sample_normals, node_gradient=node_gradient,
     )
-    rgb, mask, depth_acc, illum_acc = (
-        _render_np._place(hit.shape, ridx, rays, fill)
-        for rays, fill in zip(sums, (background, 0.0, 0.0, 0.0))
+    rgb, mask, depth, normal, illum = (
+        _render_np._place(hit.shape, ridx, values, fill)
+        for values, fill in zip(rays, (background, 0.0, np.inf, 0.0, 0.0))
     )
-    valid = mask >= ImageBundle.VALID_MASK
-    depth = np.full(mask.shape, np.inf)
-    depth[valid] = depth_acc[valid] / mask[valid]
-    illum = np.zeros(mask.shape)
-    illum[valid] = illum_acc[valid] / mask[valid]
-    normal = np.zeros(dirs.shape)
-    pts = origin[None, :] + depth[valid, None] * dirs[valid]
-    gvec = _render_np._interp_gradient(grid.field, grid.spacing, pts)
-    normal[valid] = _render_np._unit_normals(gvec, grad_sign)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:
-        out.append(RenderCache(grid, light, background, ridx, march, mask, depth_acc, illum_acc))
+        out.append(RenderCache(grid, light, background, hit.shape, ridx, march))
     if want_sample_normals:
         out.append(_render_np._place(hit.shape, ridx, march.normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
@@ -203,30 +198,26 @@ def render_backward(cache, g_rgb, g_mask=None, g_depth=None, g_illum=None):
     """Gradients of the rendered buffers with respect to grid parameters.
 
     Upstream gradients are given on the bundle's rgb / mask / depth /
-    illum buffers; depth and illum chains are folded through their
-    mask normalization.  Pixels whose depth is the +inf miss sentinel
-    must carry zero upstream depth gradient.
+    illum buffers; the kernel's ``backward`` folds the depth and illum
+    chains through their mask normalization.  Pixels whose depth is the
+    +inf miss sentinel must carry zero upstream depth gradient.  ``g_rgb``
+    is (height, width, 3); each of the others is None, meaning zero, or
+    (height, width).
     """
-    shape = cache.mask.shape
-    g_rgb = np.asarray(g_rgb, dtype=np.float64)
-    if g_rgb.shape != shape + (3,):
-        raise ValueError(f"g_rgb must have shape {shape + (3,)}")
-    zeros = np.zeros(shape)
-    g_mask = zeros if g_mask is None else np.asarray(g_mask, dtype=np.float64)
-    g_depth = zeros if g_depth is None else np.asarray(g_depth, dtype=np.float64)
-    g_illum = zeros if g_illum is None else np.asarray(g_illum, dtype=np.float64)
-    valid = cache.mask >= ImageBundle.VALID_MASK
-    m = np.where(valid, cache.mask, 1.0)
-    g_w_t = np.where(valid, g_depth / m, 0.0)
-    g_w_light = np.where(valid, g_illum / m, 0.0)
-    g_w_const = g_mask + np.where(
-        valid,
-        -(g_depth * cache.depth_acc + g_illum * cache.illum_acc) / (m * m),
-        0.0,
+    shape = cache.shape
+
+    def upstream(name, g, expected):
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != expected:
+            raise ValueError(f"{name} must have shape {expected}")
+        return g
+
+    g_rgb = upstream("g_rgb", g_rgb, shape + (3,))
+    g_mask, g_depth, g_illum = (
+        np.zeros(shape) if g is None else upstream(name, g, shape)
+        for name, g in (("g_mask", g_mask), ("g_depth", g_depth), ("g_illum", g_illum))
     )
-    g_field, g_albedo, g_table = _render_np.backward(
-        cache, g_rgb, g_w_const, g_w_t, g_w_light
-    )
+    g_field, g_albedo, g_table = _render_np.backward(cache, g_rgb, g_mask, g_depth, g_illum)
     return RenderGrads(
         field=g_field,
         albedo=g_albedo,

@@ -284,9 +284,14 @@ class TestPoseValidation:
             lambda: Camera(CameraPose(10.0, 0.0), 2.0, math.nan),
             lambda: DynamicOrbitParams(azimuth_noise_std_deg=math.nan),
             lambda: DynamicOrbitParams(azimuth_noise_std_deg=math.inf),
+            lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=4, height=1.5),
+            lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=2.0, height=4),
+            lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=0, height=4),
+            lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=4, height=-1),
         ],
         ids=["azimuth-nan", "azimuth-inf", "elevation-nan", "distance-nan",
-             "distance-inf", "fov-nan", "azimuth-noise-nan", "azimuth-noise-inf"],
+             "distance-inf", "fov-nan", "azimuth-noise-nan", "azimuth-noise-inf",
+             "height-fractional", "width-float", "width-zero", "height-negative"],
     )
     def test_non_finite_rejected(self, make):
         with pytest.raises(ValueError):

@@ -293,13 +293,13 @@ class TestForwardMarchIsReused:
 
     def test_forward_and_backward_march_once(self, monkeypatch):
         calls = []
-        march = _render_np._march
+        forward = _render_np.forward
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return march(*args)
+            return forward(*args, **kwargs)
 
-        monkeypatch.setattr(_render_np, "_march", counted)
+        monkeypatch.setattr(_render_np, "forward", counted)
         _, cache = render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES,
                           want_cache=True)
         render_backward(cache, np.ones((PX, PX, 3)))
@@ -401,3 +401,48 @@ class TestNormalsOverrideShape:
         with pytest.raises(ValueError, match="normals_override"):
             render(scene("density"), camera(px=4), light_table(), samples_per_ray=8,
                    normals_override=np.ones(shape))
+
+
+class TestInputValidation:
+    """Malformed render, backward and light-table inputs raise a named ValueError."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"samples_per_ray": 2.5}, {"samples_per_ray": 3.0}, {"samples_per_ray": 1},
+         {"background": (np.nan, 0.0, 0.0)}, {"background": (0.0, np.inf, 0.0)},
+         {"background": (0.5, 0.5)}, {"background": np.ones((1, 3))}],
+        ids=["samples-fractional", "samples-float", "samples-one", "background-nan",
+             "background-inf", "background-2-vector", "background-row"],
+    )
+    def test_render_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            render(scene("density"), camera(px=4), light_table(), **kwargs)
+
+    def test_numpy_integer_samples_per_ray(self):
+        a, b = (render(scene("sdf"), camera(px=4), light_table(), samples_per_ray=s)
+                for s in (8, np.int64(8)))
+        for name in FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("name", ["g_mask", "g_depth", "g_illum"])
+    @pytest.mark.parametrize("shape", [(PX,), (), (PX, PX, 1)],
+                             ids=["row", "scalar", "trailing-axis"])
+    def test_backward_rejects_misshaped_upstream(self, name, shape):
+        _, cache = render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES,
+                          want_cache=True)
+        with pytest.raises(ValueError, match=name):
+            render_backward(cache, np.ones((PX, PX, 3)), **{name: np.ones(shape)})
+
+    @pytest.mark.parametrize("sizes", [{"n_theta": 0}, {"n_phi": -3}, {"n_theta": 2.5}],
+                             ids=["n-theta-zero", "n-phi-negative", "n-theta-fractional"])
+    def test_light_table_rejects_size(self, sizes):
+        with pytest.raises(ValueError, match=next(iter(sizes))):
+            LightTable(Envmap((SphericalGaussian((0.0, 0.0, 1.0), 4.0, 1.0),)), **sizes)
+
+    @pytest.mark.parametrize("amplitudes", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0),
+                                            (1.0, 1.0), ((1.0, 1.0, 1.0),)],
+                             ids=["nan", "inf", "too-few", "2-d"])
+    def test_light_table_rejects_amplitudes(self, amplitudes):
+        table = light_table()
+        with pytest.raises(ValueError, match="amplitudes"):
+            table.set_amplitudes(amplitudes)
