@@ -9,7 +9,9 @@ it on the ``render.RenderCache`` and ``backward`` reads it from there, so a
 forward+backward step marches once.  No hit rays means zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
-``_interp`` is the package's trilinear gather and ``_scatter`` its adjoint.
+``_trilinear`` builds the package's one trilinear operator, a sparse
+(samples, nodes) matrix, once per march in ``forward`` and once in
+``backward``: ``_interp`` gathers with it and its transpose scatters.
 
 A density render whose march is not kept skips empty space exactly: it
 gathers field, albedo and normals, and looks up the light, only at samples
@@ -27,10 +29,10 @@ it saves.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from .grid import ImageBundle, sdf_to_density
 
@@ -70,43 +72,47 @@ def _cells(points, n):
     return i0, g - i0
 
 
-def _corners(points, n):
-    """Flat node index and trilinear weight of the 8 lattice corners around each point."""
+def _trilinear(points, n):
+    """The (m, n^3) CSR matrix of trilinear weights of (m, 3) world points on n^3 nodes.
+
+    Row i holds the 8 corners of point i's cell, in ascending flat node
+    order, with int32 indices; its product with the node values sums the 8
+    corner terms in that order, starting from 0.
+    """
     i0, f = _cells(points, n)
-    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    base = (i0[:, 0] * n + i0[:, 1]) * n + i0[:, 2]
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    indices = np.empty((len(points), 8), dtype=np.int32)
+    data = np.empty((len(points), 8))
+    k = 0
     for dx, wx in ((0, 1 - fx), (1, fx)):
         for dy, wy in ((0, 1 - fy), (1, fy)):
+            wxy = wx * wy
             for dz, wz in ((0, 1 - fz), (1, fz)):
-                yield ((x0 + dx) * n + (y0 + dy)) * n + (z0 + dz), wx * wy * wz
+                indices[:, k] = base + ((dx * n + dy) * n + dz)
+                data[:, k] = wxy * wz
+                k += 1
+    indptr = np.arange(0, indices.size + 1, 8, dtype=np.int32)
+    return scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                   shape=(len(points), n ** 3))
 
 
-def _interp(values, points, corners=None):
-    """Trilinear interpolation of (n, n, n[, c]) node values at (..., 3) world points.
-
-    ``corners`` is ``list(_corners(points, n))`` when the caller gathers
-    several node arrays at the same points and builds it once.
-    """
-    n = values.shape[0]
-    flat = values.reshape((n ** 3,) + values.shape[3:])
-    out = 0.0
-    for idx, w in _corners(points, n) if corners is None else corners:
-        out = out + np.take(flat, idx, axis=0) * (w if values.ndim == 3 else w[..., None])
-    return out
+def _interp(values, op):
+    """Trilinear interpolation of (n, n, n[, c]) node values at the points of ``op``."""
+    return op @ values.reshape((op.shape[1],) + values.shape[3:])
 
 
-def _interp_gradient(field, spacing, points, corners=None):
-    """``_interp(node_gradient(field, spacing), points)`` from the gathered corners alone.
+def _interp_gradient(field, spacing, op):
+    """``_interp(node_gradient(field, spacing), op)`` from the gathered corners alone.
 
     Each corner's gradient is computed with ``np.gradient``'s arithmetic:
     (f[i+1] - f[i-1]) / (2.0*h) inside the grid and one-sided differences
     divided by h on its faces, so the result is bitwise the full-grid one.
-    ``corners`` is as for ``_interp``.
     """
     n = field.shape[0]
     flat = field.reshape(-1)
     out = 0.0
-    for idx, w in _corners(points, n) if corners is None else corners:
+    for idx, w in zip(op.indices.reshape(-1, 8).T, op.data.reshape(-1, 8).T):
         gvec = np.empty(idx.shape + (3,))
         for axis, stride in enumerate((n * n, n, 1)):
             i = idx // stride % n
@@ -140,17 +146,6 @@ def _occupied_samples(field, points):
     if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * points.shape[0]:
         return None
     return np.flatnonzero(occupied)
-
-
-def _scatter(grads, points, n):
-    """Adjoint of ``_interp``: accumulate (m[, c]) values at (m, 3) points onto n^3 nodes."""
-    grads = np.asarray(grads, dtype=np.float64)
-    cols = grads.reshape(len(grads), math.prod(grads.shape[1:]))
-    out = np.zeros((n ** 3, cols.shape[1]))
-    for idx, w in _corners(points, n):
-        for c in range(cols.shape[1]):
-            out[:, c] += np.bincount(idx, weights=cols[:, c] * w, minlength=n ** 3)
-    return out.reshape((n, n, n) + grads.shape[1:])
 
 
 def _unit_normals(grid, gvec):
@@ -267,7 +262,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     flat = pos.reshape(-1, 3)
     skip_empty = grid.kind == "density" and not keep_march
     keep = _occupied_samples(grid.field, flat) if skip_empty else None
-    # Before the corner table, so that node_gradient's temporaries do not add to it.
+    # Before the operator, so that node_gradient's temporaries do not add to it.
     nodes = node_gradient(grid.field, grid.spacing) if normals is None and keep is None else None
 
     def pick(rows):
@@ -278,20 +273,18 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
             return rows.reshape(shape + rows.shape[1:])
         return _place(shape, keep, rows, 0.0)
 
-    pts = pick(flat)
-    corners = list(_corners(pts, grid.resolution))
-    f = _interp(grid.field, pts, corners)
+    op = _trilinear(pick(flat), grid.resolution)
+    f = _interp(grid.field, op)
     dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f)
-    alb = full(_interp(grid.albedo, pts, corners))
+    alb = full(_interp(grid.albedo, op))
     if normals is None:
-        gvec = (_interp(nodes, pts, corners) if keep is None
-                else _interp_gradient(grid.field, grid.spacing, pts, corners))
+        gvec = (_interp(nodes, op) if keep is None
+                else _interp_gradient(grid.field, grid.spacing, op))
         shading = _unit_normals(grid, gvec)
         normals = full(shading)
     else:
         shading = pick(normals.reshape(-1, 3))
-    # The corner table is 16 arrays of the sample count; free it before compositing.
-    del corners
+    del op
     a = -np.expm1(-dens * dt[:, None])
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
@@ -310,7 +303,8 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     illum[valid] = illum_acc[valid] / mask[valid]
     normal = np.zeros(dirs.shape)
     surface = origin[None, :] + depth[valid, None] * dirs[valid]
-    normal[valid] = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, surface))
+    gvec = _interp_gradient(grid.field, grid.spacing, _trilinear(surface, grid.resolution))
+    normal[valid] = _unit_normals(grid, gvec)
     return m, rgb, mask, depth, normal, illum
 
 
@@ -328,8 +322,8 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     derivative flows through the gradient nodes.  The samples are the ones
     ``forward`` marched (``cache.march`` of the rays ``cache.ridx``).
     """
+    op = _trilinear(cache.march.pos.reshape(-1, 3), cache.grid.resolution)
     grid = cache.grid
-    n = grid.resolution
     ridx = cache.ridx
     m = cache.march
 
@@ -358,11 +352,12 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     if grid.kind == "sdf":
         sig = m.dens / grid.sdf_alpha
         d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
+    del gw, suffix, g_per_w
 
-    flat_pos = m.pos.reshape(-1, 3)
-    g_field = _scatter(d_dens.ravel(), flat_pos, n)
-    g_alb_samples = (m.w * m.light)[:, :, None] * grgb[:, None, :]
-    g_albedo = _scatter(g_alb_samples.reshape(-1, 3), flat_pos, n)
+    g_field = (op.T @ d_dens.ravel()).reshape(grid.field.shape)
+    g_alb_samples = ((m.w * m.light)[:, :, None] * grgb[:, None, :]).reshape(-1, 3)
+    g_albedo = (op.T @ g_alb_samples).reshape(grid.albedo.shape)
+    del op, g_alb_samples
     g_light_samples = m.w * (grgb_dot_alb + gwl[:, None])
     g_table = table_scatter(cache.light.values.shape, m.normals, g_light_samples)
     return g_field, g_albedo, g_table

@@ -402,8 +402,8 @@ class GuidanceSchedule:
 
     def at(self, i):
         """CFG strength of frame i."""
-        if not 0 <= i < self.k:
-            raise ValueError(f"frame index {i} out of range for k={self.k}")
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.k:
+            raise ValueError(f"frame index {i!r} must be an integer in [0, {self.k})")
         w_min, w_max, k = self.w_min, self.w_max, self.k
         if self.kind == "constant":
             return float(w_max)

@@ -157,9 +157,12 @@ def render(
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
     normals of the march are returned too.  Either of the two keeps the
     march, which makes the kernel march every sample (``_render_np.forward``).
+    ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:
         raise ValueError("samples_per_ray must be an integer >= 2")
+    if not isinstance(jitter_seed, (int, np.integer)) or not 0 <= jitter_seed < 2 ** 64:
+        raise ValueError("jitter_seed must be an integer in [0, 2**64)")
     background = np.asarray(background, dtype=np.float64)
     if background.shape != (3,) or not np.all(np.isfinite(background)):
         raise ValueError("background must be a finite 3-vector")
@@ -210,6 +213,8 @@ def render_backward(cache, g_rgb, g_mask=None, g_depth=None, g_illum=None):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != expected:
             raise ValueError(f"{name} must have shape {expected}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"{name} must be finite")
         return g
 
     g_rgb = upstream("g_rgb", g_rgb, shape + (3,))

@@ -393,6 +393,15 @@ class TestGuidanceSchedule:
         with pytest.raises(ValueError):
             GuidanceSchedule("triangular", 1.0, 2.5, 10).at(-1)
 
+    @pytest.mark.parametrize("i", [2.5, 2.0, "2", None], ids=["fractional", "float", "str", "none"])
+    def test_non_integer_frame_rejected(self, i):
+        with pytest.raises(ValueError, match="frame index"):
+            GuidanceSchedule("triangular", 1.0, 2.5, 10).at(i)
+
+    def test_numpy_integer_frame_accepted(self):
+        sched = GuidanceSchedule("triangular", 1.0, 2.5, 10)
+        assert sched.at(np.int64(3)) == sched.at(3)
+
     @pytest.mark.parametrize(
         "kind, w_min, w_max, k",
         [("linear", 1.0, 2.0, 1), ("linear", -3.0, 2.0, 5), ("triangular", 1.0, -0.5, 5),

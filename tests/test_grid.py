@@ -27,9 +27,9 @@ class TestInterpScatterAdjoint:
         tail = () if channels == 1 else (channels,)
         values = rng.standard_normal((N, N, N) + tail)
         g = rng.standard_normal((len(points),) + tail)
-        lhs = np.sum(_render_np._interp(values, points) * g)
-        scattered = _render_np._scatter(g, points, N)
-        assert scattered.shape == values.shape
+        op = _render_np._trilinear(points, N)
+        lhs = np.sum(_render_np._interp(values, op) * g)
+        scattered = (op.T @ g).reshape(values.shape)
         rhs = np.sum(values * scattered)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -38,14 +38,16 @@ class TestInterpScatterAdjoint:
         x = np.linspace(-0.5, 0.5, N)
         nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
         np.testing.assert_allclose(
-            _render_np._interp(values, nodes), values.ravel(), rtol=0, atol=1e-8
+            _render_np._interp(values, _render_np._trilinear(nodes, N)), values.ravel(),
+            rtol=0, atol=1e-8
         )
 
     def test_cell_centre_is_corner_mean(self):
         values = np.random.default_rng(1).standard_normal((N, N, N, 3))
         centre = np.full((1, 3), -0.5 + 0.5 / (N - 1))
         np.testing.assert_allclose(
-            _render_np._interp(values, centre)[0], values[:2, :2, :2].mean(axis=(0, 1, 2))
+            _render_np._interp(values, _render_np._trilinear(centre, N))[0],
+            values[:2, :2, :2].mean(axis=(0, 1, 2))
         )
 
 
@@ -94,7 +96,7 @@ class TestOccupancy:
             mp.setattr(_render_np, "_SKIP_MAX_SHARE", 1.0)
             kept = _render_np._occupied_samples(field, points)
         rest = np.delete(points, kept, axis=0)
-        assert np.all(_render_np._interp(field, rest) == 0.0)
+        assert np.all(_render_np._interp(field, _render_np._trilinear(rest, N)) == 0.0)
 
     def test_mostly_occupied_points_are_not_picked(self):
         points = np.random.default_rng(3).uniform(-0.5, 0.5, (200, 3))
@@ -110,7 +112,7 @@ class TestOccupancy:
 
 
 @st.composite
-def gradient_cases(draw):
+def lattice_cases(draw):
     """A resolution, points that reach past the cube or sit on its nodes, and a seed."""
     n = draw(st.integers(2, 9))
     nodes = list(-0.5 + np.arange(n) / (n - 1)) + [-0.5, 0.5]
@@ -120,20 +122,47 @@ def gradient_cases(draw):
     return n, points, draw(st.integers(0, 2**32 - 1))
 
 
+def _corner_loop(points, n):
+    """Dense (m, n^3) trilinear weights, one point and one corner at a time."""
+    dense = np.zeros((len(points), n ** 3))
+    for row, point in enumerate(points):
+        g = np.clip((point + 0.5) * (n - 1), 0.0, n - 1 - 1e-9)
+        i0 = np.floor(g).astype(np.int64)
+        f = g - i0
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    wx, wy, wz = (f[a] if d else 1 - f[a] for a, d in enumerate((dx, dy, dz)))
+                    node = np.ravel_multi_index((i0[0] + dx, i0[1] + dy, i0[2] + dz), (n, n, n))
+                    dense[row, node] = wx * wy * wz
+    return dense
+
+
+class TestTrilinear:
+    @given(case=lattice_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_corner_loop(self, case):
+        n, points, _ = case
+        op = _render_np._trilinear(points, n)
+        assert op.shape == (len(points), n ** 3)
+        assert op.indices.dtype == np.int32
+        np.testing.assert_array_equal(op.indptr, np.arange(0, 8 * len(points) + 1, 8))
+        assert np.all(np.diff(op.indices.reshape(-1, 8), axis=1) > 0)
+        assert op.toarray().tobytes() == _corner_loop(points, n).tobytes()
+
+
 class TestInterpGradient:
-    @given(case=gradient_cases())
+    @given(case=lattice_cases())
     @settings(max_examples=60, deadline=None)
     def test_matches_full_grid_gradient(self, case):
         n, points, seed = case
         field = np.random.default_rng(seed).standard_normal((n, n, n))
         spacing = 1.0 / (n - 1)
-        expected = _render_np._interp(node_gradient(field, spacing), points)
-        got = _render_np._interp_gradient(field, spacing, points)
+        op = _render_np._trilinear(points, n)
+        expected = _render_np._interp(node_gradient(field, spacing), op)
+        got = _render_np._interp_gradient(field, spacing, op)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        shared = _render_np._interp_gradient(field, spacing, points,
-                                             list(_render_np._corners(points, n)))
-        assert shared.tobytes() == expected.tobytes()
 
 
 def _with(array, value):

@@ -318,28 +318,19 @@ class TestForwardMarchIsReused:
         for name in ("field", "albedo", "light_table", "light_amplitudes"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
-    @pytest.mark.parametrize("channels", [(), (3,)])
-    def test_shared_corner_table_matches_own(self, channels):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal((N, N, N) + channels)
-        points = rng.uniform(-0.6, 0.6, (50, 3))
-        shared = _render_np._interp(values, points,
-                                    corners=list(_render_np._corners(points, N)))
-        assert shared.tobytes() == _render_np._interp(values, points).tobytes()
-
 
 class TestEmptySpaceSkipping:
     """A forward-only density render gathers only the samples of occupied cells, bit for bit."""
 
     @pytest.fixture
     def gathers(self, monkeypatch):
-        """Point counts of every ``_interp`` call."""
+        """Point counts (operator rows) of every ``_interp`` call."""
         counts = []
         interp = _render_np._interp
 
-        def recorded(values, points, corners=None):
-            counts.append(len(points))
-            return interp(values, points, corners)
+        def recorded(values, op):
+            counts.append(op.shape[0])
+            return interp(values, op)
 
         monkeypatch.setattr(_render_np, "_interp", recorded)
         return counts
@@ -410,9 +401,12 @@ class TestInputValidation:
         "kwargs",
         [{"samples_per_ray": 2.5}, {"samples_per_ray": 3.0}, {"samples_per_ray": 1},
          {"background": (np.nan, 0.0, 0.0)}, {"background": (0.0, np.inf, 0.0)},
-         {"background": (0.5, 0.5)}, {"background": np.ones((1, 3))}],
+         {"background": (0.5, 0.5)}, {"background": np.ones((1, 3))},
+         {"jitter_seed": 1.7}, {"jitter_seed": 3.0}, {"jitter_seed": "3"}, {"jitter_seed": -1},
+         {"jitter_seed": 2 ** 64}],
         ids=["samples-fractional", "samples-float", "samples-one", "background-nan",
-             "background-inf", "background-2-vector", "background-row"],
+             "background-inf", "background-2-vector", "background-row", "seed-fractional",
+             "seed-float", "seed-str", "seed-negative", "seed-too-large"],
     )
     def test_render_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -424,6 +418,13 @@ class TestInputValidation:
         for name in FIELDS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
+    def test_numpy_integer_jitter_seed(self):
+        a, b = (render(scene("sdf"), camera(px=4), light_table(), samples_per_ray=8,
+                       jitter_seed=s)
+                for s in (3, np.int64(3)))
+        for name in FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     @pytest.mark.parametrize("name", ["g_mask", "g_depth", "g_illum"])
     @pytest.mark.parametrize("shape", [(PX,), (), (PX, PX, 1)],
                              ids=["row", "scalar", "trailing-axis"])
@@ -432,6 +433,19 @@ class TestInputValidation:
                           want_cache=True)
         with pytest.raises(ValueError, match=name):
             render_backward(cache, np.ones((PX, PX, 3)), **{name: np.ones(shape)})
+
+    @pytest.mark.parametrize("name", ["g_rgb", "g_mask", "g_depth", "g_illum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_backward_rejects_non_finite_upstream(self, name, value):
+        bundle, cache = render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES,
+                               want_cache=True)
+        upstream = {"g_rgb": np.ones((PX, PX, 3))}
+        bad = np.zeros((PX, PX, 3) if name == "g_rgb" else (PX, PX))
+        bad[PX // 2, PX // 2] = value
+        assert bundle.mask[PX // 2, PX // 2] > 0.0  # on a hit pixel
+        upstream[name] = bad
+        with pytest.raises(ValueError, match=name):
+            render_backward(cache, **upstream)
 
     @pytest.mark.parametrize("sizes", [{"n_theta": 0}, {"n_phi": -3}, {"n_theta": 2.5}],
                              ids=["n-theta-zero", "n-phi-negative", "n-theta-fractional"])

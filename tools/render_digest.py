@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tools/render_digest.py
+    python tools/render_digest.py [--save PATH.npz] [--against PATH.npz]
 
 Each line names a scene and the SHA-256 over every array it produced, in
 order: the five ``ImageBundle`` buffers of each view, the sample normals
@@ -11,10 +11,18 @@ backward pass ran.  To compare two commits, run this same file in a checkout
 of each (it imports the library from ``src/`` next to it) and diff the
 output.  The seed-1 scenes, cameras, light and upstream gradients come from
 the benchmark's set-up code in ``bench/workloads.py``, which it only reads.
+
+When the bits change, the numbers say by how much: ``--save`` writes every
+digested array to an ``.npz`` file (about 230 MB), and a run of the other
+checkout with ``--against`` that file adds to each scene's line the largest
+|new - old| relative to the old array's largest finite |entry|, over the
+scene's arrays, and the names of the arrays that changed.
 """
 
+import argparse
 import hashlib
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -32,31 +40,61 @@ BUNDLE = ("rgb", "mask", "depth", "normal", "illum")
 GRADS = ("field", "albedo", "light_table", "light_amplitudes")
 
 
-class Digest:
-    def __init__(self):
-        self.sha = hashlib.sha256()
-        self.arrays = 0
+def relative_change(new, old):
+    """Largest |new - old| over the largest finite |old|: 0 if equal, inf if not comparable."""
+    if new.shape != old.shape:
+        return np.inf
+    differ = ~((new == old) | (np.isnan(new) & np.isnan(old)))
+    if not differ.any():
+        return 0.0
+    scale = np.max(np.abs(old[np.isfinite(old)]), initial=0.0)
+    delta = np.max(np.abs(new[differ] - old[differ]))
+    return delta / scale if scale > 0.0 else np.inf
 
-    def add(self, array):
+
+class Digest:
+    """The hash of one scene's arrays; each is also saved to ``archive`` and compared with
+    ``reference`` when those are given."""
+
+    def __init__(self, scene, archive=None, reference=None):
+        self.sha = hashlib.sha256()
+        self.scene = scene
+        self.arrays = 0
+        self.archive = archive
+        self.reference = reference
+        self.worst = 0.0
+        self.changed = set()
+
+    def add(self, name, array):
         array = np.ascontiguousarray(array)
         self.sha.update(f"{array.dtype}{array.shape}".encode())
         self.sha.update(array.tobytes())
+        key = f"{self.scene}.{self.arrays:03d}.{name}"
         self.arrays += 1
+        if self.archive is not None:
+            with self.archive.open(key + ".npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, array)
+        if self.reference is not None:
+            change = (relative_change(array, self.reference[key])
+                      if key in self.reference.files else np.inf)
+            if change:
+                self.changed.add(name)
+            self.worst = max(self.worst, change)
 
     def render(self, *args, **kwargs):
         """Render, digest every returned array, and return what ``R.render`` returned."""
         out = R.render(*args, **kwargs)
         parts = out if isinstance(out, tuple) else (out,)
         for name in BUNDLE:
-            self.add(getattr(parts[0], name))
+            self.add(name, getattr(parts[0], name))
         if kwargs.get("want_sample_normals"):
-            self.add(parts[-1])
+            self.add("sample_normals", parts[-1])
         return out
 
     def backward(self, cache, *upstream):
         grads = R.render_backward(cache, *upstream)
         for name in GRADS:
-            self.add(getattr(grads, name))
+            self.add(name, getattr(grads, name))
 
 
 def bench_scene(name):
@@ -132,10 +170,28 @@ def scenes():
 
 
 def main():
-    for scene in scenes():
-        d = Digest()
-        scene(d)
-        print(f"{scene.__name__:24s} {d.arrays:4d} arrays  {d.sha.hexdigest()}", flush=True)
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--save", metavar="PATH", help="write every digested array to this .npz file")
+    p.add_argument("--against", metavar="PATH",
+                   help="report each scene's largest relative change from this --save file")
+    args = p.parse_args()
+    archive = zipfile.ZipFile(args.save, "w") if args.save else None
+    reference = np.load(args.against) if args.against else None
+    try:
+        for scene in scenes():
+            d = Digest(scene.__name__, archive, reference)
+            scene(d)
+            line = f"{scene.__name__:24s} {d.arrays:4d} arrays  {d.sha.hexdigest()}"
+            if reference is not None:
+                line += f"  max rel |delta| {d.worst:.1e}"
+                if d.changed:
+                    line += f" in {', '.join(sorted(d.changed))}"
+            print(line, flush=True)
+    finally:
+        if archive is not None:
+            archive.close()
+        if reference is not None:
+            reference.close()
 
 
 if __name__ == "__main__":
