@@ -9,9 +9,9 @@ it on the ``render.RenderCache`` and ``backward`` reads it from there, so a
 forward+backward step marches once.  No hit rays means zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
-``_trilinear`` builds the package's one trilinear operator, a sparse
-(samples, nodes) matrix, once per march in ``forward`` and once in
-``backward``: ``_interp`` gathers with it and its transpose scatters.
+``forward`` builds each sparse operator once per march: ``_trilinear``'s
+for the grid gathers (``_interp``) and ``_bilinear``'s for the light table
+(``table_lookup``); ``backward`` only scatters through their transposes.
 
 A density render whose march is not kept skips empty space exactly: it
 gathers field, albedo and normals, and looks up the light, only at samples
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .grid import ImageBundle, sdf_to_density
 
@@ -72,6 +71,14 @@ def _cells(points, n):
     return i0, g - i0
 
 
+def _csr(indices, data, n_cols):
+    """The CSR matrix whose row i holds ``data[i]`` at columns ``indices[i]``, both (m, k)."""
+    import scipy.sparse  # here, not at module level: a run that never renders skips ~2 MB
+    m, k = indices.shape
+    indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
+    return scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, n_cols))
+
+
 def _trilinear(points, n):
     """The (m, n^3) CSR matrix of trilinear weights of (m, 3) world points on n^3 nodes.
 
@@ -92,9 +99,7 @@ def _trilinear(points, n):
                 indices[:, k] = base + ((dx * n + dy) * n + dz)
                 data[:, k] = wxy * wz
                 k += 1
-    indptr = np.arange(0, indices.size + 1, 8, dtype=np.int32)
-    return scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                                   shape=(len(points), n ** 3))
+    return _csr(indices, data, n ** 3)
 
 
 def _interp(values, op):
@@ -157,50 +162,40 @@ def _unit_normals(grid, gvec):
     return normals
 
 
-def _table_coords(ltable_shape, normals):
-    nt, nph = ltable_shape
-    nz = np.clip(normals[..., 2], -1.0, 1.0)
-    theta = np.arccos(nz)
-    phi = np.mod(np.arctan2(normals[..., 1], normals[..., 0]), 2.0 * np.pi)
+def _bilinear(shape, normals):
+    """The (m, n_theta * n_phi) CSR matrix of lat-long lookup weights of (m, 3) unit normals.
+
+    Row i holds the bins (r0, c0), (r0, c1), (r1, c0), (r1, c1) around normal
+    i, with int32 indices; azimuth wraps, and at the poles r1 clamps onto r0.
+    """
+    nt, nph = shape
+    theta = np.arccos(np.clip(normals[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(normals[:, 1], normals[:, 0]), 2.0 * np.pi)
     r = np.clip(theta / np.pi * nt - 0.5, 0.0, nt - 1.0)
     c = phi / (2.0 * np.pi) * nph - 0.5
-    r0 = np.floor(r).astype(np.int64)
-    r1 = np.minimum(r0 + 1, nt - 1)
-    fr = r - r0
-    cf = np.floor(c)
-    c0 = np.mod(cf.astype(np.int64), nph)
-    c1 = np.mod(c0 + 1, nph)
-    fc = c - cf
-    return r0, r1, fr, c0, c1, fc
+    r0 = np.floor(r).astype(np.int32)
+    c0 = np.floor(c).astype(np.int32)
+    fr, fc = r - r0, c - c0
+    indices = np.empty((len(normals), 4), dtype=np.int32)
+    data = np.empty((len(normals), 4))
+    cols = ((c0 % nph, 1 - fc), ((c0 + 1) % nph, fc))
+    k = 0
+    for row, wr in ((r0 * nph, 1 - fr), (np.minimum(r0 + 1, nt - 1) * nph, fr)):
+        for col, wc in cols:
+            indices[:, k] = row + col
+            data[:, k] = wr * wc
+            k += 1
+    return _csr(indices, data, nt * nph)
 
 
-def table_lookup(ltable, normals):
-    """Bilinear lat-long lookup of irradiance for unit directions."""
-    r0, r1, fr, c0, c1, fc = _table_coords(ltable.shape, normals)
-    return (
-        ltable[r0, c0] * (1 - fr) * (1 - fc)
-        + ltable[r0, c1] * (1 - fr) * fc
-        + ltable[r1, c0] * fr * (1 - fc)
-        + ltable[r1, c1] * fr * fc
-    )
+def table_lookup(ltable, lop):
+    """Irradiance at the normals of ``lop``, a ``_bilinear`` operator on ``ltable``."""
+    return lop @ ltable.ravel()
 
 
-def table_scatter(shape, normals, weights):
-    """Adjoint of table_lookup: accumulate weights into the 4 bins."""
-    nt, nph = shape
-    r0, r1, fr, c0, c1, fc = _table_coords(shape, normals)
-    out = np.zeros(nt * nph)
-    w = np.asarray(weights, dtype=np.float64)
-    for rr, cc, ww in (
-        (r0, c0, (1 - fr) * (1 - fc)),
-        (r0, c1, (1 - fr) * fc),
-        (r1, c0, fr * (1 - fc)),
-        (r1, c1, fr * fc),
-    ):
-        out += np.bincount(
-            (rr * nph + cc).ravel(), weights=(w * ww).ravel(), minlength=nt * nph
-        )
-    return out.reshape(nt, nph)
+def table_scatter(shape, lop, weights):
+    """Adjoint of ``table_lookup``: per-normal ``weights`` accumulated into the table bins."""
+    return (lop.T @ weights.ravel()).reshape(shape)
 
 
 def _sample_points(origin, dirs_flat, pix_flat, t0, t1, n_samples, jitter_seed):
@@ -213,11 +208,12 @@ def _sample_points(origin, dirs_flat, pix_flat, t0, t1, n_samples, jitter_seed):
 
 
 class _March(NamedTuple):
-    """Per-sample state of the hit rays, shaped (rays, samples[, 3])."""
+    """Per-sample state of the hit rays, shaped (rays, samples[, 3]), and its two operators."""
 
     t: np.ndarray  # distance along the ray
     dt: np.ndarray  # (rays,) sample spacing
-    pos: np.ndarray
+    op: object  # _trilinear rows of the gathered samples, all of them in a kept march
+    lop: object  # _bilinear rows of the same samples
     dens: np.ndarray
     alb: np.ndarray
     normals: np.ndarray
@@ -274,6 +270,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
         return _place(shape, keep, rows, 0.0)
 
     op = _trilinear(pick(flat), grid.resolution)
+    del pos, flat
     f = _interp(grid.field, op)
     dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f)
     alb = full(_interp(grid.albedo, op))
@@ -281,16 +278,17 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
         gvec = (_interp(nodes, op) if keep is None
                 else _interp_gradient(grid.field, grid.spacing, op))
         shading = _unit_normals(grid, gvec)
+        del nodes, gvec
         normals = full(shading)
     else:
         shading = pick(normals.reshape(-1, 3))
-    del op
+    lop = _bilinear(ltable.shape, shading)
+    light = full(table_lookup(ltable, lop))
     a = -np.expm1(-dens * dt[:, None])
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
-    light = full(table_lookup(ltable, shading))
-    m = _March(t, dt, pos, dens, alb, normals, a, trans, t_exc, w, light)
+    m = _March(t, dt, op, lop, dens, alb, normals, a, trans, t_exc, w, light)
 
     rgb = np.einsum("rs,rsc->rc", w * light, alb)
     rgb += trans[:, -1:] * background[None, :]
@@ -320,9 +318,9 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     the final-transmittance background term is handled via the suffix sum.
     Shading normals are treated as constants (stop-gradient), so no
     derivative flows through the gradient nodes.  The samples are the ones
-    ``forward`` marched (``cache.march`` of the rays ``cache.ridx``).
+    ``forward`` marched (``cache.march`` of the rays ``cache.ridx``), and
+    the scatters are the transposes of the operators it built.
     """
-    op = _trilinear(cache.march.pos.reshape(-1, 3), cache.grid.resolution)
     grid = cache.grid
     ridx = cache.ridx
     m = cache.march
@@ -354,10 +352,10 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
         d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
     del gw, suffix, g_per_w
 
-    g_field = (op.T @ d_dens.ravel()).reshape(grid.field.shape)
+    g_field = (m.op.T @ d_dens.ravel()).reshape(grid.field.shape)
     g_alb_samples = ((m.w * m.light)[:, :, None] * grgb[:, None, :]).reshape(-1, 3)
-    g_albedo = (op.T @ g_alb_samples).reshape(grid.albedo.shape)
-    del op, g_alb_samples
+    g_albedo = (m.op.T @ g_alb_samples).reshape(grid.albedo.shape)
+    del g_alb_samples
     g_light_samples = m.w * (grgb_dot_alb + gwl[:, None])
-    g_table = table_scatter(cache.light.values.shape, m.normals, g_light_samples)
+    g_table = table_scatter(cache.light.values.shape, m.lop, g_light_samples)
     return g_field, g_albedo, g_table

@@ -11,7 +11,9 @@ normals are treated as constants (stop-gradient).
 Irradiance is evaluated through a bilinear lat-long lookup table built
 from the spherical-Gaussian envmap once per parameter update; the table
 is exactly linear in the lobe amplitudes, which makes the amplitude
-adjoint a single basis contraction.
+adjoint a single basis contraction.  The lookup is one sparse operator
+per march and the table's gradient scatter is its transpose, as the
+trilinear field and albedo gather and scatter are.
 
 This module is the pixel layer: it maps pixels to hit rays and places the
 per-ray buffers of the NumPy kernel ``_render_np``, which makes every
@@ -115,7 +117,9 @@ class RenderCache:
     """What ``render_backward`` reads: the inputs it differentiates and the forward march.
 
     ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
-    indices into the (height, width) image ``shape`` are ``ridx``.
+    indices into the (height, width) image ``shape`` are ``ridx``, and the
+    trilinear and bilinear operators whose transposes ``render_backward``
+    scatters through.
     """
 
     grid: SceneGrid
@@ -169,12 +173,16 @@ def render(
     origin, dirs = camera_rays(camera)
     t0, t1, hit = intersect_unit_cube(origin, dirs)
     sample_shape = hit.shape + (samples_per_ray, 3)
-    if normals_override is not None and np.shape(normals_override) != sample_shape:
-        raise ValueError(f"normals_override must have shape {sample_shape}")
+    if normals_override is not None:
+        normals_override = np.asarray(normals_override, dtype=np.float64)
+        if normals_override.shape != sample_shape:
+            raise ValueError(f"normals_override must have shape {sample_shape}")
+        if not np.all(np.isfinite(normals_override)):
+            raise ValueError("normals_override must be finite")
     ridx = np.flatnonzero(hit)
     frozen = (
         None if normals_override is None
-        else np.asarray(normals_override).reshape(-1, samples_per_ray, 3)[ridx]
+        else normals_override.reshape(-1, samples_per_ray, 3)[ridx]
     )
     # node_gradient is this module's attribute, read at call time, so that a wrapper on
     # render.node_gradient (the benchmark's tracing, the tests) sees the kernel's call.

@@ -165,6 +165,92 @@ class TestInterpGradient:
         assert got.tobytes() == expected.tobytes()
 
 
+def _four_term_lookup(ltable, normals):
+    """The lat-long lookup as four gathered table terms, each (L * a) * b."""
+    nt, nph = ltable.shape
+    theta = np.arccos(np.clip(normals[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(normals[:, 1], normals[:, 0]), 2.0 * np.pi)
+    r = np.clip(theta / np.pi * nt - 0.5, 0.0, nt - 1.0)
+    c = phi / (2.0 * np.pi) * nph - 0.5
+    r0 = np.floor(r).astype(np.int64)
+    r1 = np.minimum(r0 + 1, nt - 1)
+    fr = r - r0
+    cf = np.floor(c)
+    c0 = np.mod(cf.astype(np.int64), nph)
+    c1 = np.mod(c0 + 1, nph)
+    fc = c - cf
+    return (ltable[r0, c0] * (1 - fr) * (1 - fc) + ltable[r0, c1] * (1 - fr) * fc
+            + ltable[r1, c0] * fr * (1 - fc) + ltable[r1, c1] * fr * fc)
+
+
+# The poles, where the south pole's two rows clamp onto one, and azimuths on
+# either side of the 0 / 2 pi seam (arctan2 of -1e-300 wraps to exactly 2 pi).
+SPECIAL_NORMALS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (1.0, -0.0, 0.0),
+                   (1.0, -1e-300, 0.0), (1.0, 1e-300, 0.0), (0.6, -1e-300, 0.8),
+                   (0.6, -1e-12, -0.8), (-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0)]
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def table_cases(draw):
+    """A table shape, unit normals mixing random and special directions, and a seed."""
+    nt, nph = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+    random_dir = st.tuples(coordinate, coordinate, coordinate).filter(
+        lambda v: np.linalg.norm(v) > 1e-3).map(_unit)
+    direction = st.one_of(st.sampled_from(SPECIAL_NORMALS), random_dir)
+    normals = draw(st.lists(direction, max_size=30))
+    return nt, nph, np.array(normals, dtype=np.float64).reshape(-1, 3), draw(
+        st.integers(0, 2**32 - 1))
+
+
+class TestBilinear:
+    @given(case=table_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_four_term_lookup(self, case):
+        nt, nph, normals, seed = case
+        ltable = np.random.default_rng(seed).uniform(0.0, 2.0, (nt, nph))
+        lop = _render_np._bilinear((nt, nph), normals)
+        assert lop.shape == (len(normals), nt * nph)
+        assert lop.indices.dtype == np.int32
+        np.testing.assert_array_equal(lop.indptr, np.arange(0, 4 * len(normals) + 1, 4))
+        assert np.all((lop.indices >= 0) & (lop.indices < nt * nph))
+        np.testing.assert_allclose(lop.data.reshape(-1, 4).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_render_np.table_lookup(ltable, lop),
+                                   _four_term_lookup(ltable, normals),
+                                   rtol=0, atol=1e-15 * ltable.max())
+
+    @given(case=table_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_dot_product(self, case):
+        nt, nph, normals, seed = case
+        rng = np.random.default_rng(seed)
+        ltable = rng.standard_normal((nt, nph))
+        w = rng.standard_normal(len(normals))
+        lop = _render_np._bilinear((nt, nph), normals)
+        lhs = np.sum(_render_np.table_lookup(ltable, lop) * w)
+        rhs = np.sum(ltable * _render_np.table_scatter((nt, nph), lop, w))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_south_pole_clamps_to_the_last_row(self):
+        lop = _render_np._bilinear((4, 6), np.array([(0.0, 0.0, -1.0)]))
+        rows = lop.indices.reshape(4) // 6
+        np.testing.assert_array_equal(rows, [3, 3, 3, 3])
+        columns = lop.indices.reshape(2, 2) % 6
+        np.testing.assert_array_equal(columns[0], columns[1])  # duplicate columns
+
+    def test_seam_is_continuous(self):
+        ltable = np.random.default_rng(2).uniform(0.0, 1.0, (4, 6))
+        normals = np.array([(1.0, y, 0.0) for y in (-1e-12, -1e-300, -0.0, 0.0, 1e-300, 1e-12)])
+        got = _render_np.table_lookup(ltable, _render_np._bilinear((4, 6), normals))
+        np.testing.assert_allclose(got, got[3], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got[3], ltable[1:3][:, [5, 0]].mean(), rtol=1e-14)
+
+
 def _with(array, value):
     out = array.copy()
     out.flat[3] = value

@@ -1,7 +1,10 @@
 """Every public name and declared entry point of the package resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,20 @@ def test_script_entry_points_resolve():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert hasattr(module, attr.split(".")[0]), f"{script} -> {target}"
+
+
+def test_import_loads_no_scipy_sparse():
+    """scipy.sparse loads with the first render operator, not with the package."""
+    code = (
+        "import sys, numpy as np, orbitforge.render, orbitforge.sg, orbitforge.diffusion\n"
+        "loaded = lambda: any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules)\n"
+        "before = loaded()\n"
+        "orbitforge._render_np._trilinear(np.zeros((1, 3)), 2)\n"
+        "print(before, loaded())\n"
+    )
+    src = str(Path(orbitforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -305,6 +305,27 @@ class TestForwardMarchIsReused:
         render_backward(cache, np.ones((PX, PX, 3)))
         assert len(calls) == 1
 
+    def test_backward_builds_no_operator(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            build = getattr(_render_np, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return build(*args)
+            monkeypatch.setattr(_render_np, name, wrapper)
+
+        counted("_trilinear")
+        counted("_bilinear")
+        _, cache = render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES,
+                          want_cache=True)
+        # One of each for the march, and a trilinear one for the surface normals.
+        assert sorted(calls) == ["_bilinear", "_trilinear", "_trilinear"]
+        calls.clear()
+        render_backward(cache, np.ones((PX, PX, 3)), g_illum=np.ones((PX, PX)))
+        assert calls == []
+
     def test_backward_twice_is_bitwise_equal(self):
         grid = scene("density")
         light = light_table()
@@ -392,6 +413,18 @@ class TestNormalsOverrideShape:
         with pytest.raises(ValueError, match="normals_override"):
             render(scene("density"), camera(px=4), light_table(), samples_per_ray=8,
                    normals_override=np.ones(shape))
+
+
+class TestNormalsOverrideNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+    def test_rejected(self, value):
+        normals = np.zeros((4, 4, 8, 3))
+        normals[..., 2] = 1.0
+        normals[2, 2, 3, 0] = value  # on a ray that hits the cube
+        assert intersect_unit_cube(*camera_rays(camera(px=4)))[2][2, 2]
+        with pytest.raises(ValueError, match="normals_override must be finite"):
+            render(scene("density"), camera(px=4), light_table(), samples_per_ray=8,
+                   normals_override=normals)
 
 
 class TestInputValidation:
