@@ -216,7 +216,6 @@ class _March(NamedTuple):
     lop: object  # _bilinear rows of the same samples
     dens: np.ndarray
     alb: np.ndarray
-    normals: np.ndarray
     a: np.ndarray  # opacity
     trans: np.ndarray  # transmittance after the sample
     t_exc: np.ndarray  # transmittance before the sample
@@ -248,8 +247,10 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     of occupied cells, their normals from the corner nodes alone, when those
     are at most ``_SKIP_MAX_SHARE`` of the samples (module docstring).
 
-    Returns (march, rgb, mask, depth, normal, illum), each buffer one row per
-    hit ray: depth and illum are divided by the mask where it reaches
+    Returns (march, normals, rgb, mask, depth, normal, illum): the march
+    holds what ``backward`` reads, normals are the (rays, samples, 3)
+    shading normals, and each buffer after them has one row per hit ray:
+    depth and illum are divided by the mask where it reaches
     ``ImageBundle.VALID_MASK``, depth is +inf and illum and normal 0
     elsewhere, and normal is the unit field gradient at the expected depth.
     """
@@ -288,7 +289,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     trans = np.cumprod(1.0 - a, axis=1)
     t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
-    m = _March(t, dt, op, lop, dens, alb, normals, a, trans, t_exc, w, light)
+    m = _March(t, dt, op, lop, dens, alb, a, trans, t_exc, w, light)
 
     rgb = np.einsum("rs,rsc->rc", w * light, alb)
     rgb += trans[:, -1:] * background[None, :]
@@ -303,7 +304,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     surface = origin[None, :] + depth[valid, None] * dirs[valid]
     gvec = _interp_gradient(grid.field, grid.spacing, _trilinear(surface, grid.resolution))
     normal[valid] = _unit_normals(grid, gvec)
-    return m, rgb, mask, depth, normal, illum
+    return m, normals, rgb, mask, depth, normal, illum
 
 
 def backward(cache, g_rgb, g_mask, g_depth, g_illum):

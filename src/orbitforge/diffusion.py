@@ -2,17 +2,20 @@
 
 Implements denoiser preconditioning, log-normal noise-level sampling, the
 denoising-score-matching objective, power-law sigma schedules, and a
-deterministic Euler sampler for the probability-flow ODE with
-classifier-free guidance.  Gaussian-mixture data distributions admit a
-closed-form optimal denoiser, which is used throughout the test suite to
-verify the sampler without any trained network.
+deterministic Euler sampler for the probability-flow ODE with one
+classifier-free-guidance strength per call (``ddim_sample``); per-frame
+strengths of an orbit come from ``GuidanceSchedule``.  A Gaussian-mixture
+data distribution has a closed-form optimal denoiser,
+``GaussianMixture.posterior_mean``, which ``GaussianMixtureDenoiser`` serves
+per conditioning token and the test suite uses to verify the sampler without
+any trained network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -26,7 +29,6 @@ __all__ = [
     "SigmaSchedule",
     "denoise",
     "score_from_denoiser",
-    "analytic_gm_denoiser",
     "dsm_loss",
     "edm_weight",
     "make_sigma_schedule",
@@ -168,57 +170,54 @@ class GaussianMixture:
         noise = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * noise
 
-    def _component_logpdf(self, x, sigma):
-        # log N(x; mu_k, (v_k + sigma^2) I) for every component, batched.
+    def _log_joint(self, x, sigma):
+        """ln(w_k N(x; mu_k, (v_k + sigma^2) I)) per row of x and component k.
+
+        ``sigma`` is a scalar or one value per row and must be finite and
+        >= 0.  Returns the log-joint shifted by its row maximum, that maximum,
+        the offsets x - mu_k and v_k + sigma^2.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         sigma = np.asarray(sigma, dtype=np.float64)
-        s2 = self.variances[None, :] + (sigma * sigma).reshape(-1, 1)
+        if not (np.isfinite(sigma).all() and np.all(sigma >= 0.0)):
+            raise ValueError("sigma must be finite and >= 0")
+        sigma = np.broadcast_to(sigma, x.shape[:1])
+        s2 = self.variances[None, :] + (sigma * sigma)[:, None]
         diff = x[:, None, :] - self.means[None, :, :]
         sq = np.sum(diff * diff, axis=-1)
-        d = self.dim
-        return -0.5 * (d * np.log(2.0 * np.pi * s2) + sq / s2), diff, s2
+        joint = -0.5 * (self.dim * np.log(2.0 * np.pi * s2) + sq / s2) + np.log(self.weights)
+        top = np.max(joint, axis=1, keepdims=True)
+        return joint - top, top, diff, s2
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
-        if not np.all(np.asarray(sigma) >= 0.0):
-            raise ValueError("sigma must be >= 0")
-        logp, _, _ = self._component_logpdf(x, sigma)
-        logw = np.log(self.weights)[None, :]
-        m = np.max(logp + logw, axis=1, keepdims=True)
-        out = m[:, 0] + np.log(np.sum(np.exp(logp + logw - m), axis=1))
+        shifted, top, _, _ = self._log_joint(x, sigma)
+        out = top[:, 0] + np.log(np.sum(np.exp(shifted), axis=1))
         return out if np.asarray(x).ndim > 1 else float(out[0])
 
+    def posterior_mean(self, x, sigma):
+        """Exact posterior mean E[x0 | x0 + n = x] with n ~ N(0, sigma^2 I).
 
-def analytic_gm_denoiser(mixture, x, sigma):
-    """Exact posterior mean E[x0 | x0 + n = x] under a Gaussian mixture.
-
-    This is the global minimizer of the denoising-score-matching objective
-    and serves as the stand-in for a trained denoiser.  ``sigma`` may be a
-    scalar or a per-row vector matching a batched ``x``.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    single = x_arr.ndim == 1
-    xb = np.atleast_2d(x_arr)
-    sig = np.asarray(sigma, dtype=np.float64)
-    if not np.all(sig >= 0.0):
-        raise ValueError("sigma must be >= 0")
-    if sig.ndim == 0 and float(sig) == 0.0:
-        return x_arr.copy()
-    sig_b = np.broadcast_to(sig, (xb.shape[0],)) if sig.ndim <= 1 else sig
-    logp, diff, s2 = mixture._component_logpdf(xb, sig_b)
-    logw = logp + np.log(mixture.weights)[None, :]
-    logw -= np.max(logw, axis=1, keepdims=True)
-    resp = np.exp(logw)
-    resp /= np.sum(resp, axis=1, keepdims=True)
-    # Per-component posterior mean: mu_k + v_k/(v_k + sigma^2) (x - mu_k).
-    shrink = mixture.variances[None, :] / s2
-    post = mixture.means[None, :, :] + shrink[:, :, None] * diff
-    out = np.sum(resp[:, :, None] * post, axis=1)
-    # sigma == 0 rows are noiseless: the posterior collapses onto x.
-    zero = np.asarray(sig_b) == 0.0
-    if np.any(zero):
-        out[zero] = xb[zero]
-    return out[0] if single else out
+        This is the global minimizer of the denoising-score-matching objective
+        and serves as the stand-in for a trained denoiser.  ``sigma`` is a
+        scalar or one value per row of a batched ``x``; rows at sigma = 0 are
+        noiseless and return x unchanged.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        out = np.atleast_2d(x).copy()
+        sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), out.shape[:1])
+        # NaN, negative and inf rows are noisy here, so _log_joint rejects them.
+        noisy = sigma != 0.0
+        # A slice when every row is noisy, so that the batch is not gathered.
+        rows = slice(None) if noisy.all() else noisy
+        shifted, _, diff, s2 = self._log_joint(out[rows], sigma[rows])
+        resp = np.exp(shifted)
+        resp /= np.sum(resp, axis=1, keepdims=True)
+        # Per-component posterior mean: mu_k + v_k/(v_k + sigma^2) (x - mu_k).
+        shrink = self.variances[None, :] / s2
+        post = self.means[None, :, :] + shrink[:, :, None] * diff
+        out[rows] = np.sum(resp[:, :, None] * post, axis=1)
+        return out[0] if x.ndim == 1 else out
 
 
 class GaussianMixtureDenoiser:
@@ -238,7 +237,7 @@ class GaussianMixtureDenoiser:
             mixture = self.mixtures[cond]
         except KeyError:
             raise ValueError(f"no mixture registered for token {cond!r}") from None
-        return analytic_gm_denoiser(mixture, x, sigma)
+        return mixture.posterior_mean(x, sigma)
 
 
 def edm_weight(sigma):
@@ -330,45 +329,31 @@ def cfg_combine(d_cond, d_uncond, w):
     return w * d_cond - (w - 1.0) * d_uncond
 
 
-def _guided_denoise(denoiser, x, sigma, cond, w):
-    d_cond = np.asarray(denoiser(x, sigma, cond), dtype=np.float64)
-    if w == 1.0:
-        # Guidance degenerates to the conditional prediction; skipping the
-        # unconditional evaluation keeps the w=1 path bitwise identical.
-        return d_cond
-    d_uncond = np.asarray(denoiser(x, sigma, None), dtype=np.float64)
-    return cfg_combine(d_cond, d_uncond, w)
-
-
-def ddim_sample(
-    denoiser,
-    schedule,
-    *,
-    x_init,
-    cond=None,
-    guidance: Union[float, Sequence[float]] = 1.0,
-):
+def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     """Deterministic Euler integration of the probability-flow ODE.
 
     x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (x_i - D^w(x_i; sigma_i)) /
-    sigma_i, returning the state at sigma = 0.  ``guidance`` is a scalar or
-    a per-step sequence of CFG strengths.  The chain is a pure function of
-    (x_init, schedule, cond, guidance).
+    sigma_i, returning the state at sigma = 0.  ``guidance`` is the one CFG
+    strength w of the whole chain, a finite number; ``x_init`` must be
+    finite.  The chain is a pure function of (x_init, schedule, cond,
+    guidance).
     """
+    number = isinstance(guidance, (int, float, np.integer, np.floating))
+    if not (number and math.isfinite(guidance)):
+        raise ValueError(f"guidance must be one finite number, got {guidance!r}")
+    w = float(guidance)
     sig = schedule.sigmas
-    n_steps = schedule.n_steps
     x = np.array(x_init, dtype=np.float64, copy=True)
-    w_arr = np.asarray(guidance, dtype=np.float64)
-    if w_arr.ndim == 0:
-        w_arr = np.full(n_steps, float(w_arr))
-    elif w_arr.shape != (n_steps,):
-        raise ValueError(f"per-step guidance must have length {n_steps}")
-    if not np.isfinite(w_arr).all():
-        raise ValueError("guidance must be finite")
-    for i in range(n_steps):
+    if not np.isfinite(x).all():
+        raise ValueError("x_init must be finite")
+    for i in range(schedule.n_steps):
         s_cur = sig[i]
         s_next = sig[i + 1]
-        d_val = _guided_denoise(denoiser, x, s_cur, cond, float(w_arr[i]))
+        d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
+        # At w = 1 guidance degenerates to the conditional prediction; skipping
+        # the unconditional evaluation keeps that path bitwise identical.
+        if w != 1.0:
+            d_val = cfg_combine(d_val, denoiser(x, s_cur, None), w)
         x = x + (s_next - s_cur) * (x - d_val) / s_cur
     return x
 

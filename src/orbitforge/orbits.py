@@ -9,8 +9,8 @@ x-right, y-down, z-forward (right-handed).  All angles are degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -113,10 +113,11 @@ class DynamicOrbitParams:
             raise ValueError("need at least one sinusoid")
         if self.period_range[0] < 1 or self.period_range[1] < self.period_range[0]:
             raise ValueError("period range must be whole numbers with lo <= hi")
-        if self.amplitude_range_deg[0] < 0 or (
-            self.amplitude_range_deg[1] < self.amplitude_range_deg[0]
-        ):
-            raise ValueError("bad amplitude range")
+        lo_a, hi_a = self.amplitude_range_deg
+        if not 0.0 <= lo_a <= hi_a < math.inf:
+            raise ValueError("amplitude range must be finite with 0 <= lo <= hi")
+        if not 0.0 <= self.max_elevation_deg <= 90.0:
+            raise ValueError("max elevation must be in [0, 90]")
         if not 0.0 <= self.azimuth_noise_std_deg < math.inf or self.smooth_half_width < 0:
             raise ValueError("noise std must be finite and >= 0, smoothing half-width >= 0")
 
@@ -218,8 +219,8 @@ def adaptive_distance(bbox_half_extent, fov_deg=DEFAULT_FOV_DEG, margin=1.1):
     extent; the default margin gives slack for perspective foreshortening
     at the package's narrow default field of view.
     """
-    if bbox_half_extent <= 0.0:
-        raise ValueError("bbox half extent must be positive")
+    if not 0.0 < bbox_half_extent < math.inf or not 0.0 < margin < math.inf:
+        raise ValueError("bbox half extent and margin must be positive and finite")
     if not 0.0 < fov_deg < 180.0:
         raise ValueError("fov must be in (0, 180)")
     radius = bbox_half_extent * math.sqrt(3.0)

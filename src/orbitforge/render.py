@@ -119,7 +119,8 @@ class RenderCache:
     ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
     indices into the (height, width) image ``shape`` are ``ridx``, and the
     trilinear and bilinear operators whose transposes ``render_backward``
-    scatters through.
+    scatters through.  It holds no shading normals, which the backward pass
+    treats as constants.
     """
 
     grid: SceneGrid
@@ -186,7 +187,7 @@ def render(
     )
     # node_gradient is this module's attribute, read at call time, so that a wrapper on
     # render.node_gradient (the benchmark's tracing, the tests) sees the kernel's call.
-    march, *rays = _render_np.forward(
+    march, sample_normals, *rays = _render_np.forward(
         grid, light.values, background,
         origin=origin, dirs=dirs.reshape(-1, 3)[ridx], t0=t0.ravel()[ridx], t1=t1.ravel()[ridx],
         pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=frozen,
@@ -201,7 +202,7 @@ def render(
     if want_cache:
         out.append(RenderCache(grid, light, background, hit.shape, ridx, march))
     if want_sample_normals:
-        out.append(_render_np._place(hit.shape, ridx, march.normals, 0.0))
+        out.append(_render_np._place(hit.shape, ridx, sample_normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
 
 

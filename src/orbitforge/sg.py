@@ -267,6 +267,12 @@ class EnvmapFitError(RuntimeError):
     """Raised when the fit cannot find a non-increasing step for too long."""
 
 
+# fit_envmap's first line-search step; accepted steps grow by 1.5x up to 10x it.
+_FIT_STEP_SIZE = 0.5
+# Consecutive failed line searches after which fit_envmap gives up.
+_FIT_MAX_FAIL_STREAK = 50
+
+
 def _shading_loss(light, albedo, target):
     resid = albedo * light[:, None] - target
     return float(np.mean(resid * resid))
@@ -293,24 +299,21 @@ def _fit_gradients(axes, sharp, amps, normals, albedo, target, cols, d):
     return g_amp, g_axes, g_logsharp
 
 
-def fit_envmap(
-    views,
-    init=None,
-    iterations=200,
-    step_size=0.5,
-    max_fail_streak=50,
-    return_history=False,
-):
+def fit_envmap(views, init=None, iterations=200, return_history=False):
     """Fit lobe parameters to shaded images with known normals and albedo.
 
     ``views`` is a sequence of (rgb, normals, albedo[, foreground]) tuples;
     buffers may be per-pixel images or flat point lists.  Foreground
     buffers must be finite, foreground normals unit length and ``init``
-    must have at least one lobe, else ``ValueError``.  Amplitude, axis and log-sharpness gradients are all
+    must have at least one lobe, and ``iterations`` an integer >= 0, else
+    ``ValueError``.  Amplitude, axis and log-sharpness gradients are all
     closed form (``_fit_gradients``).  Projected gradient descent with a
     backtracking line search keeps the loss non-increasing over accepted
-    steps; 50 consecutive failed line searches abort the fit.
+    steps; ``_FIT_MAX_FAIL_STREAK`` consecutive failed line searches raise
+    ``EnvmapFitError``.
     """
+    if not isinstance(iterations, (int, np.integer)) or iterations < 0:
+        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
     bufs = []
     for view in views:
         rgb, normals, albedo = (np.asarray(b, dtype=np.float64).reshape(-1, 3) for b in view[:3])
@@ -338,7 +341,7 @@ def fit_envmap(
     cols, d = _lobe_columns(axes, sharp, normals)
     loss = _shading_loss(cols @ amps, albedo, target)
     history = [loss]
-    step = float(step_size)
+    step = _FIT_STEP_SIZE
     fail_streak = 0
     for _ in range(iterations):
         g_amp, g_axes, g_logsharp = _fit_gradients(
@@ -358,7 +361,7 @@ def fit_envmap(
             if new_loss <= loss:
                 axes, sharp, amps = new_axes, new_sharp, new_amps
                 cols, d, loss = new_cols, new_d, new_loss
-                step = min(trial * 1.5, 10.0 * step_size)
+                step = min(trial * 1.5, 10.0 * _FIT_STEP_SIZE)
                 accepted = True
                 break
             trial *= 0.5
@@ -366,7 +369,7 @@ def fit_envmap(
             fail_streak = 0
         else:
             fail_streak += 1
-            if fail_streak >= max_fail_streak:
+            if fail_streak >= _FIT_MAX_FAIL_STREAK:
                 raise EnvmapFitError(
                     f"no descent step found for {fail_streak} consecutive iterations"
                 )

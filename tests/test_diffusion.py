@@ -13,7 +13,6 @@ from orbitforge.diffusion import (
     NoiseLevelDistribution,
     Preconditioner,
     SigmaSchedule,
-    analytic_gm_denoiser,
     cfg_combine,
     ddim_sample,
     denoise,
@@ -123,7 +122,7 @@ class TestScore:
     def test_standard_normal_example(self):
         # N(0,1) data at sigma=1, x=2: posterior mean is 1, score is -1.
         mix = GaussianMixture([1.0], [[0.0]], [1.0])
-        d = analytic_gm_denoiser(mix, np.array([2.0]), 1.0)
+        d = mix.posterior_mean(np.array([2.0]), 1.0)
         np.testing.assert_allclose(d, [1.0])
         np.testing.assert_allclose(score_from_denoiser(d, np.array([2.0]), 1.0), [-1.0])
 
@@ -145,7 +144,7 @@ class TestScore:
             )
             sigma = float(rng.uniform(0.3, 2.0))
             x = rng.normal(0.0, 1.5, 2)
-            d = analytic_gm_denoiser(mix, x, sigma)
+            d = mix.posterior_mean(x, sigma)
             score = score_from_denoiser(d, x, sigma)
             fd = np.zeros(2)
             for a in range(2):
@@ -161,19 +160,17 @@ class TestAnalyticDenoiser:
     def test_deterministic_single_component(self):
         mix = GaussianMixture([1.0], [[2.0, -1.0]], [0.0])
         for x in ([0.0, 0.0], [5.0, 5.0]):
-            np.testing.assert_allclose(
-                analytic_gm_denoiser(mix, np.array(x), 0.8), [2.0, -1.0]
-            )
+            np.testing.assert_allclose(mix.posterior_mean(np.array(x), 0.8), [2.0, -1.0])
 
     def test_sigma_zero_returns_x(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.1, 0.1])
         x = np.array([0.37])
-        np.testing.assert_array_equal(analytic_gm_denoiser(mix, x, 0.0), x)
+        np.testing.assert_array_equal(mix.posterior_mean(x, 0.0), x)
 
     def test_symmetry_at_midpoint(self):
         mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.0, 0.0])
         np.testing.assert_allclose(
-            analytic_gm_denoiser(mix, np.array([0.0]), 1.0), [0.0], atol=1e-15
+            mix.posterior_mean(np.array([0.0]), 1.0), [0.0], atol=1e-15
         )
 
     def test_batched_matches_loop(self):
@@ -183,11 +180,18 @@ class TestAnalyticDenoiser:
         )
         xs = rng.normal(size=(8, 2))
         sig = rng.uniform(0.2, 2.0, 8)
-        batched = analytic_gm_denoiser(mix, xs, sig)
+        batched = mix.posterior_mean(xs, sig)
         for i in range(8):
-            np.testing.assert_allclose(
-                batched[i], analytic_gm_denoiser(mix, xs[i], sig[i])
-            )
+            np.testing.assert_allclose(batched[i], mix.posterior_mean(xs[i], sig[i]))
+
+    def test_row_sigma_zero_never_divides(self):
+        # A zero-variance component at sigma = 0 has v + sigma^2 = 0; that
+        # row returns x without dividing by it (warnings are errors here).
+        mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.0, 0.1])
+        xs = np.array([[0.37], [0.37]])
+        out = mix.posterior_mean(xs, np.array([0.0, 0.5]))
+        np.testing.assert_array_equal(out[0], xs[0])
+        np.testing.assert_array_equal(out[1], mix.posterior_mean(xs[1], 0.5))
 
     def test_weights_normalized(self):
         mix = GaussianMixture([2.0, 2.0], [[0.0], [1.0]], [0.0, 0.0])
@@ -203,7 +207,7 @@ class TestDsmLoss:
         mix = GaussianMixture([1.0], [[1.5]], [0.0])
         rng = np.random.default_rng(0)
         loss = dsm_loss(
-            lambda x, s, c=None: analytic_gm_denoiser(mix, x, s),
+            lambda x, s, c=None: mix.posterior_mean(x, s),
             mix,
             NoiseLevelDistribution(-1.2, 1.0),
             rng,
@@ -216,8 +220,8 @@ class TestDsmLoss:
         # strictly increase the paired MC estimate.
         mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.05, 0.05])
         dist = NoiseLevelDistribution(-0.5, 0.8)
-        base = lambda x, s, c=None: analytic_gm_denoiser(mix, x, s)
-        shifted = lambda x, s, c=None: analytic_gm_denoiser(mix, x, s) + 0.1
+        base = lambda x, s, c=None: mix.posterior_mean(x, s)
+        shifted = lambda x, s, c=None: mix.posterior_mean(x, s) + 0.1
         diffs = []
         for seed in range(5):
             l0 = dsm_loss(base, mix, dist, np.random.default_rng(seed), 10_000)
@@ -318,7 +322,7 @@ class TestDdimSample:
         sched = make_sigma_schedule(20.0, 0.02, 50, rho=7.0)
         rng = np.random.default_rng(123)
         out = ddim_sample(
-            lambda x, s, c=None: analytic_gm_denoiser(mix, x, s),
+            lambda x, s, c=None: mix.posterior_mean(x, s),
             sched,
             x_init=sched[0] * rng.standard_normal((10_000, 2)),
         )
@@ -347,11 +351,11 @@ class TestDdimSample:
         b = ddim_sample(den, sched, x_init=x0, guidance=1.0)
         assert a.tobytes() == b.tobytes()
 
-    def test_per_step_guidance_length_checked(self):
+    def test_list_guidance_rejected(self):
         mix = GaussianMixture([1.0], [[0.0]], [1.0])
         den = GaussianMixtureDenoiser({None: mix})
-        sched = make_sigma_schedule(10.0, 0.01, 5)
-        with pytest.raises(ValueError):
+        sched = make_sigma_schedule(10.0, 0.01, 2)
+        with pytest.raises(ValueError, match="guidance"):
             ddim_sample(den, sched, x_init=np.zeros(1), guidance=[1.0, 2.0])
 
 
@@ -456,19 +460,20 @@ class TestRejectsNonFinite:
             lambda: Preconditioner().coefficients(math.inf),
             lambda: Preconditioner().coefficients(math.nan),
             lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1), guidance=math.nan),
-            lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1),
-                                guidance=[1.0, math.inf, 1.0]),
+            lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.array([0.0, math.nan])),
             lambda: score_from_denoiser(np.ones(2), np.zeros(2), math.nan),
-            lambda: analytic_gm_denoiser(_MIXTURE, np.zeros(1), math.nan),
-            lambda: analytic_gm_denoiser(_MIXTURE, np.zeros((2, 1)), np.array([1.0, math.nan])),
+            lambda: _MIXTURE.posterior_mean(np.zeros(1), math.nan),
+            lambda: _MIXTURE.posterior_mean(np.zeros((2, 1)), np.array([1.0, math.nan])),
             lambda: _MIXTURE.log_marginal(np.zeros((2, 1)), math.nan),
+            lambda: _MIXTURE.posterior_mean(np.zeros(1), math.inf),
+            lambda: _MIXTURE.log_marginal(np.zeros(1), math.inf),
         ],
         ids=["gm-weight-nan", "gm-weight-inf", "gm-mean-nan", "gm-variance-inf",
              "p_mean-nan", "p_std-inf", "schedule-nan", "schedule-inf",
              "guidance-w_min-nan", "guidance-w_max-inf", "sigma-table-nan", "sigma-inf",
-             "sigma-nan", "ddim-guidance-nan", "ddim-step-guidance-inf", "score-sigma-nan",
+             "sigma-nan", "ddim-guidance-nan", "ddim-x_init-nan", "score-sigma-nan",
              "gm-denoiser-sigma-nan", "gm-denoiser-row-sigma-nan",
-             "log-marginal-sigma-nan"],
+             "log-marginal-sigma-nan", "gm-denoiser-sigma-inf", "log-marginal-sigma-inf"],
     )
     def test_rejected(self, make):
         with pytest.raises(ValueError):

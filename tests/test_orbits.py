@@ -10,7 +10,6 @@ from orbitforge.orbits import (
     Orbit,
     adaptive_distance,
     camera_matrix,
-    camera_position,
     dynamic_orbit,
     load_orbit,
     pose_embedding,
@@ -288,10 +287,18 @@ class TestPoseValidation:
             lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=2.0, height=4),
             lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=0, height=4),
             lambda: Camera(CameraPose(10.0, 0.0), 2.0, width=4, height=-1),
+            lambda: adaptive_distance(math.nan),
+            lambda: adaptive_distance(0.5, margin=math.inf),
+            lambda: adaptive_distance(0.5, margin=0.0),
+            lambda: DynamicOrbitParams(amplitude_range_deg=(0.5, math.nan)),
+            lambda: DynamicOrbitParams(max_elevation_deg=math.nan),
+            lambda: DynamicOrbitParams(max_elevation_deg=95.0),
         ],
         ids=["azimuth-nan", "azimuth-inf", "elevation-nan", "distance-nan",
              "distance-inf", "fov-nan", "azimuth-noise-nan", "azimuth-noise-inf",
-             "height-fractional", "width-float", "width-zero", "height-negative"],
+             "height-fractional", "width-float", "width-zero", "height-negative",
+             "half-extent-nan", "margin-inf", "margin-zero", "amplitude-range-nan",
+             "max-elevation-nan", "max-elevation-above-90"],
     )
     def test_non_finite_rejected(self, make):
         with pytest.raises(ValueError):

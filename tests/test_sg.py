@@ -429,6 +429,27 @@ class TestFitEnvmap:
         with pytest.raises(ValueError):
             fit_envmap([(rgb, normals, albedo)], init=default_envmap(4), iterations=2)
 
+    @pytest.mark.parametrize("iterations", [-1, 2.5, 2.0, "3"],
+                             ids=["negative", "fractional", "float", "str"])
+    def test_bad_iterations_rejected(self, iterations):
+        views = self._make_views(default_envmap(4), np.random.default_rng(22), 1, 10)
+        with pytest.raises(ValueError, match="iterations"):
+            fit_envmap(views, init=default_envmap(4), iterations=iterations)
+
+    def test_no_descent_raises(self, monkeypatch):
+        # Starting at the truth, an uphill amplitude step raises the loss at
+        # every trial size, so every line search fails.
+        truth = default_envmap(4, sharpness=5.0, amplitude=0.9)
+        views = self._make_views(truth, np.random.default_rng(23), 1, 50)
+
+        def uphill(axes, sharp, amps, *rest):
+            return np.full_like(amps, -1e6), np.zeros_like(axes), np.zeros_like(sharp)
+
+        monkeypatch.setattr(sg, "_fit_gradients", uphill)
+        monkeypatch.setattr(sg, "_FIT_MAX_FAIL_STREAK", 2)
+        with pytest.raises(EnvmapFitError, match="for 2 consecutive"):
+            fit_envmap(views, init=truth, iterations=5)
+
     def test_init_without_lobes_rejected(self):
         views = self._make_views(default_envmap(4), np.random.default_rng(21), 1, 10)
         with pytest.raises(ValueError, match="at least one lobe"):
