@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,45 @@ class TestAnalyticDenoiser:
         np.testing.assert_array_equal(out[0], xs[0])
         np.testing.assert_array_equal(out[1], mix.posterior_mean(xs[1], 0.5))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mix: mix.posterior_mean(np.zeros(4), 0.5),
+            lambda mix: mix.posterior_mean(np.zeros((3, 2)), 0.5),
+            lambda mix: mix.log_marginal(np.zeros(4), 0.5),
+            lambda mix: mix.log_marginal(np.zeros((3, 2)), 0.0),
+            lambda mix: ddim_sample(
+                GaussianMixtureDenoiser({None: mix}), make_sigma_schedule(10.0, 0.01, 3),
+                x_init=np.zeros(4),
+            ),
+        ],
+        ids=["posterior-point", "posterior-batch", "log-marginal-point",
+             "log-marginal-batch", "ddim-sample"],
+    )
+    def test_wrong_dim_rejected(self, call):
+        # A 1-D mixture: a length-4 point is not four 1-D rows.
+        mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.1, 0.1])
+        with pytest.raises(ValueError, match=r"dim 1, got shape \([^)]*[42]"):
+            call(mix)
+
+    def test_log_marginal_point_mass_at_sigma_zero_rejected(self):
+        # v + sigma^2 = 0: the point-mass component has no density at sigma = 0.
+        mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.0, 0.1])
+        with pytest.raises(ValueError, match="zero-variance"):
+            mix.log_marginal(np.array([0.37]), 0.0)
+        with pytest.raises(ValueError, match="zero-variance"):
+            mix.log_marginal(np.array([[0.37], [1.0]]), np.array([0.5, 0.0]))
+
+    def test_zero_weight_component_has_no_mass(self):
+        # ln 0 = -inf: no warning (an error here), and the mixture is the other component.
+        mix = GaussianMixture([0.0, 1.0], [[5.0], [-1.0]], [0.1, 0.1])
+        alone = GaussianMixture([1.0], [[-1.0]], [0.1])
+        x = np.array([[4.9], [0.3]])
+        np.testing.assert_allclose(mix.posterior_mean(x, 0.7), alone.posterior_mean(x, 0.7),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(mix.log_marginal(x, 0.7), alone.log_marginal(x, 0.7),
+                                   rtol=1e-13)
+
     def test_weights_normalized(self):
         mix = GaussianMixture([2.0, 2.0], [[0.0], [1.0]], [0.0, 0.0])
         assert abs(mix.weights.sum() - 1.0) < 1e-12
@@ -200,6 +240,98 @@ class TestAnalyticDenoiser:
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValueError):
             GaussianMixture([], np.zeros((0, 1)), [])
+
+
+def dense_log_joint(mix, x, sigma):
+    """The (n, K, dim) difference formula, kept as the reference for the library's."""
+    x = np.atleast_2d(x)
+    sigma = np.broadcast_to(sigma, x.shape[:1])
+    s2 = mix.variances[None, :] + (sigma * sigma)[:, None]
+    diff = x[:, None, :] - mix.means[None, :, :]
+    sq = np.sum(diff * diff, axis=-1)
+    joint = -0.5 * (mix.dim * np.log(2.0 * np.pi * s2) + sq / s2) + np.log(mix.weights)
+    top = np.max(joint, axis=1, keepdims=True)
+    return joint - top, top, diff, s2
+
+
+def dense_log_marginal(mix, x, sigma):
+    shifted, top, _, _ = dense_log_joint(mix, x, sigma)
+    return top[:, 0] + np.log(np.sum(np.exp(shifted), axis=1))
+
+
+def dense_posterior_mean(mix, x, sigma):
+    shifted, _, diff, s2 = dense_log_joint(mix, x, sigma)
+    resp = np.exp(shifted)
+    resp /= np.sum(resp, axis=1, keepdims=True)
+    post = mix.means[None, :, :] + (mix.variances[None, :] / s2)[:, :, None] * diff
+    return np.sum(resp[:, :, None] * post, axis=1)
+
+
+_ORACLE_SIGMAS = make_sigma_schedule().sigmas[:-1]
+
+
+@st.composite
+def mixture_batches(draw):
+    """A mixture whose means are shifted by up to 100 per coordinate, and points drawn
+    from it at one sigma of the default schedule (80 down to 0.002)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 16))
+    variances = draw(st.lists(st.sampled_from([0.0, 1e-4, 0.2, 2.0]), min_size=k, max_size=k))
+    offset = draw(st.floats(0.0, 100.0))
+    sigma = draw(st.sampled_from(_ORACLE_SIGMAS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.uniform(-offset, offset, d) + rng.standard_normal((k, d))
+    mix = GaussianMixture(rng.uniform(0.1, 1.0, k), means, variances)
+    comp = rng.integers(0, k, n)
+    spread = np.sqrt(mix.variances[comp] + sigma * sigma)[:, None]
+    return mix, means[comp] + spread * rng.standard_normal((n, d)), sigma
+
+
+def assert_matches_dense(mix, x, sigma):
+    want = dense_posterior_mean(mix, x, sigma)
+    got = mix.posterior_mean(x, sigma)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    want = dense_log_marginal(mix, x, sigma)
+    got = mix.log_marginal(x, sigma)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestDenseOracle:
+    """The matrix-product posterior against the (n, K, dim) formula it replaced."""
+
+    @given(mixture_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_formula(self, case):
+        assert_matches_dense(*case)
+
+    @pytest.mark.parametrize("variance", [0.0, 0.2])
+    def test_at_a_mean_at_smallest_sigma(self, variance):
+        rng = np.random.default_rng(11)
+        means = 100.0 + rng.standard_normal((4, 8))
+        mix = GaussianMixture([0.4, 0.3, 0.2, 0.1], means, [variance] * 4)
+        assert_matches_dense(mix, means.copy(), 0.002)
+
+    @pytest.mark.parametrize("sigma", [80.0, 1.0, 0.002])
+    def test_point_masses_close_together_far_out(self, sigma):
+        centre = np.full(3, 10.0)
+        means = np.stack([centre, centre + np.array([1e-4, 0.0, 0.0])])
+        mix = GaussianMixture([0.5, 0.5], means, [0.0, 0.0])
+        x = centre + np.array([[0.0, 0.0, 0.0], [5e-5, 0.0, 0.0], [3e-5, 1e-3, -2e-3]])
+        assert_matches_dense(mix, x, sigma)
+
+    def test_builds_no_batch_by_component_array(self):
+        n, k, d = 64, 16, 256
+        rng = np.random.default_rng(2)
+        mix = GaussianMixture(np.ones(k), rng.standard_normal((k, d)), np.full(k, 0.2))
+        x = rng.standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            mix.posterior_mean(x, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * d * 8
 
 
 class TestDsmLoss:
@@ -346,7 +478,7 @@ class TestDdimSample:
         mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.1, 0.1])
         den = GaussianMixtureDenoiser({None: mix})
         sched = make_sigma_schedule(30.0, 0.01, 25)
-        x0 = np.random.default_rng(5).standard_normal(4) * 30.0
+        x0 = np.random.default_rng(5).standard_normal((4, 1)) * 30.0
         a = ddim_sample(den, sched, x_init=x0, guidance=1.0)
         b = ddim_sample(den, sched, x_init=x0, guidance=1.0)
         assert a.tobytes() == b.tobytes()

@@ -169,8 +169,12 @@ def scenes():
             hard_sphere64_forward, miss_2x2_training]
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def run(scenes, description):
+    """Parse ``--save``/``--against``, then digest each scene and print its line.
+
+    ``scenes()`` returns the scenes, each a function of one ``Digest`` that is
+    named by its ``__name__``; it is called after the arguments parse."""
+    p = argparse.ArgumentParser(description=description)
     p.add_argument("--save", metavar="PATH", help="write every digested array to this .npz file")
     p.add_argument("--against", metavar="PATH",
                    help="report each scene's largest relative change from this --save file")
@@ -195,4 +199,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run(scenes, __doc__.splitlines()[0])
