@@ -20,11 +20,56 @@ from the gathered corners (``_interp_gradient``) instead of a full-grid
 gradient.  Every other sample would interpolate density 0, so its opacity
 and weight are exactly 0 and its albedo and light terms multiply 0; the
 composited buffers keep their bits.  Backward needs those samples, since
-their field gradient is not 0, and an SDF's density never reaches 0, so
-a kept march and SDF grids march every sample.  So does a density
-render whose occupied samples are more than ``_SKIP_MAX_SHARE`` of them
-(a smooth density has no exact zeros), where picking them costs more than
-it saves.
+their field gradient is not 0, so a kept density march gathers every
+sample.  So does a density render whose occupied samples are more than
+``_SKIP_MAX_SHARE`` of them (a smooth density has no exact zeros), where
+picking them costs more than it saves.
+
+An SDF's density never reaches 0, so an SDF march, kept or not, drops the
+samples whose every contribution is provably below ``_EPS`` = eps instead,
+and gathers the rest, normals from the full-grid node gradient:
+
+1. The cell test (``_sdf_samples``).  The trilinear SDF s is at least the
+   smallest corner s_min of its cell, and sigmoid(x) <= exp(x), so a
+   sample's opacity is a <= dens * dt <= alpha * exp(-s_min / beta) * dt.
+   A sample where that bound is below eps is dropped (density 0).
+2. The opaque cut.  Every sample whose transmittance T_exc, after step 1,
+   is below eps is dropped as well, opacity 0: it is a suffix of the ray,
+   so the march is the same truncated function forward and backward.
+
+The bound.  Per ray of S samples, let delta < S * eps be the opacity summed
+over the samples of step 1, eta = delta + eps, and M the march's mask.  The
+weight left after the cut is below eps, every weight w_j moves by at most
+eta, and the weights move by at most 2 * delta + eps in sum.  A buffer
+sum_j w_j x_j + T_final * b therefore moves by at most eta * R, R the range
+of the x_j and b: by eta * (2 * Lam + |background|) for rgb, Lam the largest
+|light table| entry, and by eta for the mask.  Depth and illum divide such
+sums by the mask: they move by at most eta * (t1 + depth) / M and
+eta * (2 * Lam + |illum|) / M, t1 the ray's exit distance.  The normal, the
+unit field gradient g at the expected depth, moves by at most
+2 * sqrt(3) * |d depth| * D / (h * |g|), D the largest difference between
+neighbouring node gradients and h the node spacing.
+
+For the gradients let G_j be ``backward``'s upstream on w_j, G the largest
+|G_j| or |g_rgb . background| of the ray, m0 = M - eta, and, on rays whose
+mask reaches ``ImageBundle.VALID_MASK`` (0 elsewhere),
+dG = 5 * eta * (|g_depth| * t1 + |g_illum| * Lam) / m0**2, the most any
+G_j moves.  Each of the following per-sample terms reaches a node or a
+table bin through the operator's nonnegative weights, which sum to 1 per
+sample, so a node or bin moves by at most the weighted sum of these bounds:
+
+- field: (2 * eps / beta) * G for a sample of step 1, since its term
+  dt * dens'(s) * ((1 - a) * G_j * T_exc - S_j) has |S_j| <= G * T_exc and
+  |dens'| <= dens / beta; alpha * dt * eps * G / (2 * beta) for a sample of
+  step 2, since |dens'| <= alpha / (4 * beta); and
+  (alpha * dt / (4 * beta)) * (2 * dG + 4 * (G + dG) * eta) for a gathered
+  sample, whose transmittance, suffix sum and upstream moved;
+- albedo: eta * Lam * |g_rgb|, per channel;
+- light table: eta * (|g_rgb|_1 + 2 * |g_illum| / m0**2), and the light
+  amplitudes through the table basis.
+
+Density grids drop nothing this way: a zero density has an O(1) field
+gradient, which is how a fit grows density into empty space.
 """
 
 from __future__ import annotations
@@ -43,6 +88,8 @@ _INV53 = 1.0 / 9007199254740992.0
 # every sample: on 64^3 and 128^3 density spheres, 64x64 views with 64 samples
 # per ray, picking the occupied ones was slower from a share of 0.6-0.85 up.
 _SKIP_MAX_SHARE = 0.5
+# Opacity and transmittance below which an SDF sample is dropped (module docstring).
+_EPS = 1e-10
 
 
 def hash01(pixel, sample, seed):
@@ -136,6 +183,20 @@ def _occupancy(nonzero):
     return occ[:, :, 1:] | occ[:, :, :-1]
 
 
+def _cell_min(field):
+    """(n-1)^3 cell minima of an n^3 node field: the smallest of each cell's 8 corners."""
+    low = np.minimum(field[1:], field[:-1])
+    low = np.minimum(low[:, 1:], low[:, :-1])
+    return np.minimum(low[:, :, 1:], low[:, :, :-1])
+
+
+def _per_sample(cell_values, points):
+    """The value of each point's cell, from (n-1)^3 per-cell values."""
+    m = cell_values.shape[0]
+    cell, _ = _cells(points, m + 1)
+    return cell_values.reshape(-1)[(cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]]
+
+
 def _occupied_samples(field, points):
     """Flat indices of the points that fall in a cell with a nonzero corner.
 
@@ -145,12 +206,26 @@ def _occupied_samples(field, points):
     nonzero = field != 0.0
     if nonzero.all():
         return None  # every cell is occupied
-    m = field.shape[0] - 1
-    cell, _ = _cells(points, m + 1)
-    occupied = _occupancy(nonzero).reshape(-1)[(cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]]
+    occupied = _per_sample(_occupancy(nonzero), points)
     if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * points.shape[0]:
         return None
     return np.flatnonzero(occupied)
+
+
+def _sdf_samples(grid, pos, dt):
+    """Flat indices of the (rays, samples, 3) points ``pos`` of an SDF grid whose
+    opacity may reach ``_EPS``; None when that is all of them.
+
+    A point's density is at most alpha * exp(-s / beta) <= alpha * exp(-s_min / beta),
+    s_min the smallest corner of its cell, and its opacity at most that times
+    its ray's spacing ``dt``; a point whose bound is below ``_EPS`` is dropped.
+    """
+    with np.errstate(divide="ignore"):
+        log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
+    limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
+    s_min = _per_sample(_cell_min(grid.field), pos.reshape(-1, 3))
+    kept = s_min.reshape(pos.shape[:2]) <= limit[:, None]
+    return None if kept.all() else np.flatnonzero(kept)
 
 
 def _unit_normals(grid, gvec):
@@ -208,11 +283,16 @@ def _sample_points(origin, dirs_flat, pix_flat, t0, t1, n_samples, jitter_seed):
 
 
 class _March(NamedTuple):
-    """Per-sample state of the hit rays, shaped (rays, samples[, 3]), and its two operators."""
+    """Per-sample state of the hit rays, shaped (rays, samples[, 3]), and its two operators.
+
+    A sample that was not gathered has density, opacity, weight, albedo and
+    light 0; ``op`` and ``lop`` have one row per gathered sample, in ``keep`` order.
+    """
 
     t: np.ndarray  # distance along the ray
     dt: np.ndarray  # (rays,) sample spacing
-    op: object  # _trilinear rows of the gathered samples, all of them in a kept march
+    keep: object  # flat indices of the gathered samples, or None for all of them
+    op: object  # _trilinear rows of the gathered samples
     lop: object  # _bilinear rows of the same samples
     dens: np.ndarray
     alb: np.ndarray
@@ -235,6 +315,12 @@ def _sums(m):
     return m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
 
 
+def _transmittance(a):
+    """Transmittance after and before each sample of (rays, samples) opacities."""
+    trans = np.cumprod(1.0 - a, axis=1)
+    return trans, np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
+
+
 def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
             normals, keep_march, node_gradient):
     """March the hit rays once and composite them into per-ray buffers.
@@ -242,14 +328,17 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
     hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
     normals, or None to take them from the field gradient, whose nodes the
-    caller's ``node_gradient(field, spacing)`` computes.  Unless the caller
-    keeps the march (``keep_march``), a density grid gathers only the samples
-    of occupied cells, their normals from the corner nodes alone, when those
-    are at most ``_SKIP_MAX_SHARE`` of the samples (module docstring).
+    caller's ``node_gradient(field, spacing)`` computes.  An SDF grid gathers
+    only the samples that pass the cell test and lie before the opaque cut,
+    and unless the caller keeps the march (``keep_march``), a density grid
+    gathers only the samples of occupied cells, their normals from the corner
+    nodes alone, when those are at most ``_SKIP_MAX_SHARE`` of the samples
+    (module docstring).
 
     Returns (march, normals, rgb, mask, depth, normal, illum): the march
     holds what ``backward`` reads, normals are the (rays, samples, 3)
-    shading normals, and each buffer after them has one row per hit ray:
+    shading normals (the frozen ones as given, else the field's, 0 at the
+    samples not gathered), and each buffer after them has one row per hit ray:
     depth and illum are divided by the mask where it reaches
     ``ImageBundle.VALID_MASK``, depth is +inf and illum and normal 0
     elsewhere, and normal is the unit field gradient at the expected depth.
@@ -257,11 +346,17 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     t, dt, pos = _sample_points(origin, dirs, pix, t0, t1, n_samples, jitter_seed)
     shape = pos.shape[:2]
     flat = pos.reshape(-1, 3)
-    skip_empty = grid.kind == "density" and not keep_march
-    keep = _occupied_samples(grid.field, flat) if skip_empty else None
-    # Before the operator, so that node_gradient's temporaries do not add to it.
-    nodes = node_gradient(grid.field, grid.spacing) if normals is None and keep is None else None
+    sdf = grid.kind == "sdf"
+    if sdf:
+        keep = _sdf_samples(grid, pos, dt)
+    else:
+        keep = None if keep_march else _occupied_samples(grid.field, flat)
+    # Before the operator, so that node_gradient's temporaries do not add to it.  A density
+    # grid's picked samples take their normals from the gathered corners instead.
+    grid_normals = normals is None and (sdf or keep is None)
+    nodes = node_gradient(grid.field, grid.spacing) if grid_normals else None
 
+    # Both read ``keep`` when called, so they follow the opaque cut below.
     def pick(rows):
         return rows if keep is None else rows[keep]
 
@@ -273,10 +368,23 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     op = _trilinear(pick(flat), grid.resolution)
     del pos, flat
     f = _interp(grid.field, op)
-    dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if grid.kind == "sdf" else f)
+    dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if sdf else f)
+    a = -np.expm1(-dens * dt[:, None])
+    trans, t_exc = _transmittance(a)
+    if sdf:
+        # A suffix of each ray: at opacity 0 its transmittance stays below eps, so
+        # forward and backward describe the same truncated march.
+        opaque = t_exc < _EPS
+        if opaque.any():
+            gathered = ~pick(opaque.reshape(-1))
+            keep = np.flatnonzero(~opaque) if keep is None else keep[gathered]
+            op = op[gathered]
+            dens[opaque] = 0.0
+            a[opaque] = 0.0
+            trans, t_exc = _transmittance(a)
     alb = full(_interp(grid.albedo, op))
     if normals is None:
-        gvec = (_interp(nodes, op) if keep is None
+        gvec = (_interp(nodes, op) if nodes is not None
                 else _interp_gradient(grid.field, grid.spacing, op))
         shading = _unit_normals(grid, gvec)
         del nodes, gvec
@@ -285,11 +393,8 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
         shading = pick(normals.reshape(-1, 3))
     lop = _bilinear(ltable.shape, shading)
     light = full(table_lookup(ltable, lop))
-    a = -np.expm1(-dens * dt[:, None])
-    trans = np.cumprod(1.0 - a, axis=1)
-    t_exc = np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
     w = t_exc * a
-    m = _March(t, dt, op, lop, dens, alb, a, trans, t_exc, w, light)
+    m = _March(t, dt, keep, op, lop, dens, alb, a, trans, t_exc, w, light)
 
     rgb = np.einsum("rs,rsc->rc", w * light, alb)
     rgb += trans[:, -1:] * background[None, :]
@@ -319,7 +424,7 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     the final-transmittance background term is handled via the suffix sum.
     Shading normals are treated as constants (stop-gradient), so no
     derivative flows through the gradient nodes.  The samples are the ones
-    ``forward`` marched (``cache.march`` of the rays ``cache.ridx``), and
+    ``forward`` gathered (``cache.march`` of the rays ``cache.ridx``), and
     the scatters are the transposes of the operators it built.
     """
     grid = cache.grid
@@ -348,15 +453,22 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     suffix = np.concatenate([suffix[:, 1:], np.zeros((gw.shape[0], 1))], axis=1)
     suffix += (bgdot * m.trans[:, -1])[:, None]
     d_dens = m.dt[:, None] * ((1.0 - m.a) * g_per_w * m.t_exc - suffix)
-    if grid.kind == "sdf":
-        sig = m.dens / grid.sdf_alpha
-        d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
     del gw, suffix, g_per_w
+    n_rays, n_samples = m.a.shape
+    keep = np.arange(n_rays * n_samples) if m.keep is None else m.keep
 
-    g_field = (m.op.T @ d_dens.ravel()).reshape(grid.field.shape)
-    g_alb_samples = ((m.w * m.light)[:, :, None] * grgb[:, None, :]).reshape(-1, 3)
+    def pick(rows):
+        return rows.reshape(-1)[keep]
+
+    d_dens = pick(d_dens)
+    if grid.kind == "sdf":
+        sig = pick(m.dens) / grid.sdf_alpha
+        d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
+
+    g_field = (m.op.T @ d_dens).reshape(grid.field.shape)
+    g_alb_samples = pick(m.w * m.light)[:, None] * grgb[keep // n_samples]
     g_albedo = (m.op.T @ g_alb_samples).reshape(grid.albedo.shape)
     del g_alb_samples
-    g_light_samples = m.w * (grgb_dot_alb + gwl[:, None])
+    g_light_samples = pick(m.w * (grgb_dot_alb + gwl[:, None]))
     g_table = table_scatter(cache.light.values.shape, m.lop, g_light_samples)
     return g_field, g_albedo, g_table

@@ -118,9 +118,10 @@ class RenderCache:
 
     ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
     indices into the (height, width) image ``shape`` are ``ridx``, and the
-    trilinear and bilinear operators whose transposes ``render_backward``
-    scatters through.  It holds no shading normals, which the backward pass
-    treats as constants.
+    trilinear and bilinear operators of the samples the kernel gathered, all
+    of them for a density grid and the ones not provably negligible for an
+    SDF grid, whose transposes ``render_backward`` scatters through.  It
+    holds no shading normals, which the backward pass treats as constants.
     """
 
     grid: SceneGrid
@@ -160,8 +161,12 @@ def render(
     (height, width, samples_per_ray, 3) shading normals, which realizes the
     stop-gradient semantics for finite-difference checks.  With
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
-    normals of the march are returned too.  Either of the two keeps the
-    march, which makes the kernel march every sample (``_render_np.forward``).
+    normals of the march are returned too: ``normals_override`` as given, or
+    else the field's, zero at the samples the march did not gather.  Either
+    of the two keeps the march, which makes a density grid's march gather
+    every sample.  An SDF grid's march, kept or not, drops the samples whose
+    contributions are provably below ``_render_np._EPS``; the module
+    docstring of ``_render_np`` bounds what that moves.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:

@@ -88,6 +88,14 @@ class TestOccupancy:
         np.testing.assert_array_equal(_render_np._occupancy(field != 0.0),
                                       _reference_occupancy(field))
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_cell_min_matches_corner_min(self, seed):
+        field = np.random.default_rng(seed).standard_normal((N, N, N))
+        corners = [field[dx:N - 1 + dx, dy:N - 1 + dy, dz:N - 1 + dz]
+                   for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+        np.testing.assert_array_equal(_render_np._cell_min(field), np.min(corners, axis=0))
+
     @given(points=points_strategy, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_unoccupied_samples_gather_zero(self, points, seed):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import orbitforge.render as render_module
 from orbitforge import _render_np
-from orbitforge.grid import SceneGrid
+from orbitforge.grid import SceneGrid, node_gradient
 from orbitforge.orbits import Camera, CameraPose, adaptive_distance
 from orbitforge.render import (
     LightTable,
@@ -48,13 +48,17 @@ def hard_scene(n):
     return SceneGrid("density", np.where(r < 0.3, 30.0, 0.0), rng.uniform(0.2, 0.8, (n, n, n, 3)))
 
 
-def scene(kind):
+def scene(kind, n=N):
+    """A Gaussian density, a soft SDF sphere, or a sharp one ("sharp-sdf", the benchmark's
+    alpha and beta), whose march drops samples."""
     rng = np.random.default_rng(3)
-    x = np.linspace(-0.5, 0.5, N)
+    x = np.linspace(-0.5, 0.5, n)
     r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
-    albedo = rng.uniform(0.2, 0.8, (N, N, N, 3))
+    albedo = rng.uniform(0.2, 0.8, (n, n, n, 3))
     if kind == "sdf":
         return SceneGrid("sdf", r - 0.3, albedo, sdf_alpha=40.0, sdf_beta=0.05)
+    if kind == "sharp-sdf":
+        return SceneGrid("sdf", r - 0.3, albedo, sdf_alpha=150.0, sdf_beta=0.005)
     return SceneGrid("density", 30.0 * np.exp(-((r / 0.25) ** 2)), albedo)
 
 
@@ -65,7 +69,7 @@ class TestBackwardMatchesCentralDifferences:
     stop-gradient the backward pass assumes.
     """
 
-    @pytest.fixture(params=["density", "sdf"])
+    @pytest.fixture(params=["density", "sdf", "sharp-sdf"])
     def setup(self, request):
         grid = scene(request.param)
         cam = camera()
@@ -74,6 +78,8 @@ class TestBackwardMatchesCentralDifferences:
             grid, cam, light, samples_per_ray=SAMPLES, background=BACKGROUND,
             want_cache=True, want_sample_normals=True,
         )
+        if request.param == "sharp-sdf":  # the gradient is the truncated march's
+            assert cache.march.op.shape[0] < cache.march.a.size
         rng = np.random.default_rng(11)
         shape = (PX, PX)
         valid = bundle.valid
@@ -381,11 +387,25 @@ class TestEmptySpaceSkipping:
         render(grid, camera(), light_table(), samples_per_ray=SAMPLES, want_cache=True)
         assert gathers and set(gathers) == {marched}
 
-    def test_sdf_and_sample_normals_march_every_sample(self, gathers):
+    def test_sample_normals_march_every_sample(self, gathers):
         marched = intersect_unit_cube(*camera_rays(camera()))[2].sum() * SAMPLES
-        render(scene("sdf"), camera(), light_table(), samples_per_ray=SAMPLES)
         render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES,
                want_sample_normals=True)
+        assert gathers and set(gathers) == {marched}
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["forward-only", "kept"])
+    def test_sharp_sdf_gathers_fewer_rows(self, gathers, monkeypatch, keep):
+        marched = intersect_unit_cube(*camera_rays(camera()))[2].sum() * SAMPLES
+        kwargs = dict(samples_per_ray=SAMPLES, want_cache=keep, want_sample_normals=True)
+        out = render(scene("sharp-sdf"), camera(), light_table(), **kwargs)
+        assert gathers and max(gathers) < marched
+        # The sample normals are unit vectors where gathered and zero elsewhere.
+        lengths = np.linalg.norm(out[-1], axis=-1)
+        assert np.count_nonzero(lengths) == gathers[-1]
+        np.testing.assert_allclose(lengths[lengths > 0], 1.0)
+        gathers.clear()
+        monkeypatch.setattr(_render_np, "_EPS", 0.0)
+        render(scene("sharp-sdf"), camera(), light_table(), **kwargs)
         assert gathers and set(gathers) == {marched}
 
     def test_dense_grid_marches_every_sample(self, gathers):
@@ -404,6 +424,105 @@ class TestEmptySpaceSkipping:
         monkeypatch.setattr(render_module, "node_gradient", lambda *args: calls.append(args))
         render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES)
         assert calls == []
+
+
+class TestBoundedErrorMarch:
+    """A sharp SDF's march stays within ``_render_np``'s written bound of the full march.
+
+    The full march is the same render with ``_EPS`` patched to 0, where no
+    sample is dropped.  Every bound below is the module docstring's, per ray
+    or, through the full march's operators, per node and table bin.
+    """
+
+    @pytest.mark.parametrize("jitter_seed", [0, 5])
+    @pytest.mark.parametrize("pose", [(20.0, 35.0), (-40.0, 200.0), (75.0, 120.0)])
+    def test_within_the_written_bound(self, monkeypatch, pose, jitter_seed):
+        grid = scene("sharp-sdf", n=16)
+        cam = camera(16, *pose)
+        light = light_table()
+        rng = np.random.default_rng(jitter_seed)
+        shape = (cam.height, cam.width)
+        g_rgb, g_mask, g_depth, g_illum = (
+            rng.standard_normal(shape + (3,)), rng.standard_normal(shape),
+            rng.standard_normal(shape), rng.standard_normal(shape))
+        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND, jitter_seed=jitter_seed,
+                      want_cache=True)
+        eps = _render_np._EPS
+        out, cache = render(grid, cam, light, **kwargs)
+        g_depth = np.where(out.valid, g_depth, 0.0)
+        grads = render_backward(cache, g_rgb, g_mask, g_depth, g_illum)
+        monkeypatch.setattr(_render_np, "_EPS", 0.0)
+        ref, ref_cache = render(grid, cam, light, **kwargs)
+        ref_grads = render_backward(ref_cache, g_rgb, g_mask, g_depth, g_illum)
+
+        n_rays = ref_cache.ridx.size
+        assert ref_cache.march.op.shape[0] == n_rays * SAMPLES
+        assert cache.march.op.shape[0] < n_rays * SAMPLES
+        # What was dropped had opacity or transmittance below eps.
+        dropped = np.ones(n_rays * SAMPLES, dtype=bool)
+        dropped[cache.march.keep] = False
+        negligible = (ref_cache.march.a < eps) | (cache.march.t_exc < eps)
+        assert np.all(negligible.ravel()[dropped])
+        np.testing.assert_array_equal(out.valid, ref.valid)
+        miss = ~intersect_unit_cube(*camera_rays(cam))[2]
+        for name in FIELDS:
+            assert getattr(out, name)[miss].tobytes() == getattr(ref, name)[miss].tobytes()
+
+        def rays(image):
+            """The hit rays' rows of a (height, width[, c]) image."""
+            return image.reshape((-1,) + image.shape[2:])[cache.ridx]
+
+        new, old = ({name: rays(getattr(b, name)) for name in FIELDS} for b in (out, ref))
+        grgb, gm, gd, gi = (rays(g) for g in (g_rgb, g_mask, g_depth, g_illum))
+        origin, dirs = camera_rays(cam)
+        t1 = rays(intersect_unit_cube(origin, dirs)[1])
+        dirs = rays(dirs)
+        eta = (SAMPLES + 1) * eps
+        lam = np.abs(light.values).max()
+        valid = new["mask"] >= out.VALID_MASK
+        mask = np.where(valid, new["mask"], 1.0)
+        depth = np.where(valid, old["depth"], 0.0)
+
+        # Buffers.
+        assert np.all(np.abs(new["rgb"] - old["rgb"]) <= eta * (2 * lam + np.abs(BACKGROUND)))
+        assert np.all(np.abs(new["mask"] - old["mask"]) <= eta)
+        d_depth = eta * (t1 + depth) / mask
+        assert np.all(np.abs(new["depth"][valid] - old["depth"][valid]) <= d_depth[valid])
+        d_illum = eta * (2 * lam + np.abs(old["illum"])) / mask
+        assert np.all(np.abs(new["illum"] - old["illum"]) <= d_illum)
+        nodes = node_gradient(grid.field, grid.spacing)
+        jump = max(np.linalg.norm(np.diff(nodes, axis=axis), axis=-1).max() for axis in range(3))
+        surface = origin + depth[valid, None] * dirs[valid]
+        g = _render_np._interp(nodes, _render_np._trilinear(surface, grid.resolution))
+        d_normal = 2 * np.sqrt(3) * d_depth[valid] * jump / (grid.spacing
+                                                             * np.linalg.norm(g, axis=-1))
+        assert np.all(np.linalg.norm(new["normal"] - old["normal"], axis=-1)[valid] <= d_normal)
+
+        # Gradients: per-sample bounds of each ray, through the full march's operators.
+        m0 = np.where(valid, mask - eta, 1.0)
+        gwt, gwl = (np.where(valid, g / mask, 0.0) for g in (gd, gi))
+        gwc = gm - (gd * depth + gi * old["illum"]) / mask
+        g_max = np.maximum(np.abs(grgb).sum(axis=1) * lam + np.abs(gwc) + np.abs(gwt) * t1
+                           + np.abs(gwl) * lam, np.abs(grgb @ np.asarray(BACKGROUND)))
+        d_g = np.where(valid, 5 * eta * (np.abs(gd) * t1 + np.abs(gi) * lam) / m0 ** 2, 0.0)
+        beta = grid.sdf_beta
+        alpha_dt = grid.sdf_alpha * ref_cache.march.dt
+        per_ray = {
+            "field": (2 * eps / beta) * g_max + alpha_dt * eps * g_max / (2 * beta)
+            + alpha_dt / (4 * beta) * (2 * d_g + 4 * (g_max + d_g) * eta),
+            "albedo": eta * lam * np.abs(grgb),
+            "light_table": eta * (np.abs(grgb).sum(axis=1)
+                                  + np.where(valid, 2 * np.abs(gi) / m0 ** 2, 0.0)),
+        }
+        ops = {"field": ref_cache.march.op, "albedo": ref_cache.march.op,
+               "light_table": ref_cache.march.lop}
+        bound = {}
+        for name, per_sample in per_ray.items():
+            got = np.abs(getattr(grads, name) - getattr(ref_grads, name))
+            bound[name] = (ops[name].T @ np.repeat(per_sample, SAMPLES, axis=0)).reshape(got.shape)
+            assert np.all(got <= bound[name]), name
+        got = np.abs(grads.light_amplitudes - ref_grads.light_amplitudes)
+        assert np.all(got <= np.abs(light.basis).T @ bound["light_table"].ravel())
 
 
 class TestNormalsOverrideShape:

@@ -13,10 +13,10 @@ output.  The seed-1 scenes, cameras, light and upstream gradients come from
 the benchmark's set-up code in ``bench/workloads.py``, which it only reads.
 
 When the bits change, the numbers say by how much: ``--save`` writes every
-digested array to an ``.npz`` file (about 230 MB), and a run of the other
-checkout with ``--against`` that file adds to each scene's line the largest
-|new - old| relative to the old array's largest finite |entry|, over the
-scene's arrays, and the names of the arrays that changed.
+digested array to an ``.npz`` file (about 240 MB), and a run of the other
+checkout with ``--against`` that file adds to each scene's line, for each
+array name in the order first digested, the largest |new - old| relative to
+the old array's largest finite |entry| over the scene's arrays of that name.
 """
 
 import argparse
@@ -62,8 +62,7 @@ class Digest:
         self.arrays = 0
         self.archive = archive
         self.reference = reference
-        self.worst = 0.0
-        self.changed = set()
+        self.worst = {}  # array name -> largest relative change
 
     def add(self, name, array):
         array = np.ascontiguousarray(array)
@@ -77,9 +76,7 @@ class Digest:
         if self.reference is not None:
             change = (relative_change(array, self.reference[key])
                       if key in self.reference.files else np.inf)
-            if change:
-                self.changed.add(name)
-            self.worst = max(self.worst, change)
+            self.worst[name] = max(self.worst.get(name, 0.0), change)
 
     def render(self, *args, **kwargs):
         """Render, digest every returned array, and return what ``R.render`` returned."""
@@ -134,6 +131,9 @@ def scenes():
     def density128_forward(d):
         forward_orbit(d, density.grid, density.cameras, density.light)
 
+    def sdf64_forward(d):
+        forward_orbit(d, sdf.grid, cameras, light)
+
     def sdf64_training(d):
         rng = np.random.default_rng(SEED)
         for view in (0, 5, 13):
@@ -166,7 +166,7 @@ def scenes():
         d.backward(cache, *upstream(np.random.default_rng(SEED), (2, 2)))
 
     return [density128_forward, sdf64_training, density128_training, gaussian64_forward,
-            hard_sphere64_forward, miss_2x2_training]
+            hard_sphere64_forward, miss_2x2_training, sdf64_forward]
 
 
 def run(scenes, description):
@@ -187,9 +187,8 @@ def run(scenes, description):
             scene(d)
             line = f"{scene.__name__:24s} {d.arrays:4d} arrays  {d.sha.hexdigest()}"
             if reference is not None:
-                line += f"  max rel |delta| {d.worst:.1e}"
-                if d.changed:
-                    line += f" in {', '.join(sorted(d.changed))}"
+                line += "  max rel |delta| " + ", ".join(
+                    f"{name} {change:.1e}" for name, change in d.worst.items())
             print(line, flush=True)
     finally:
         if archive is not None:

@@ -13,8 +13,9 @@ which it only reads.  To compare two commits, run this same file in a
 checkout of each and diff the output.
 
 ``--save`` and ``--against`` work as in ``tools/render_digest.py``, whose
-digest and comparison code this reuses: a run with ``--against`` adds the
-largest |new - old| relative to the old array's largest finite |entry|.
+digest and comparison code this reuses: a run with ``--against`` adds, for
+each array name, the largest |new - old| relative to the old array's largest
+finite |entry|.
 """
 
 import render_digest as RD  # puts src/ and bench/ on the import path
