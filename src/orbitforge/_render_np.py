@@ -4,26 +4,34 @@ It owns every decision about a ray: which samples to gather, where node
 gradients come from, the shading sign and the mask normalization of depth
 and illum, with its adjoint; ``render`` only maps pixels to rays and back.
 Vectorized over rays and samples.  ``forward`` marches the hit rays once
-and returns that march with the per-ray buffers; ``render`` keeps
-it on the ``render.RenderCache`` and ``backward`` reads it from there, so a
-forward+backward step marches once.  No hit rays means zero-length arrays.
+and returns the per-ray buffers, and the march when the caller keeps it;
+``render`` keeps it on the ``render.RenderCache`` and ``backward`` reads it
+from there, so a forward+backward step marches once.  No hit rays means
+zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
 ``forward`` builds each sparse operator once per march: ``_trilinear``'s
 for the grid gathers (``_interp``) and ``_bilinear``'s for the light table
 (``table_lookup``); ``backward`` only scatters through their transposes.
 
-A density render whose march is not kept skips empty space exactly: it
-gathers field, albedo and normals, and looks up the light, only at samples
-whose cell has a nonzero corner (``_occupied_samples``), and takes those normals
-from the gathered corners (``_interp_gradient``) instead of a full-grid
-gradient.  Every other sample would interpolate density 0, so its opacity
-and weight are exactly 0 and its albedo and light terms multiply 0; the
-composited buffers keep their bits.  Backward needs those samples, since
-their field gradient is not 0, so a kept density march gathers every
-sample.  So does a density render whose occupied samples are more than
-``_SKIP_MAX_SHARE`` of them (a smooth density has no exact zeros), where
-picking them costs more than it saves.
+A density render whose march is not kept skips empty space exactly.  It
+takes the box of the cells with a nonzero corner, widened by one cell
+(``_occupied_cells``), and gives each hit ray its interval in that box by a
+slab test (``_box_strata``).  A ray that misses the box is not marched: it
+composites as a miss (background, mask 0, depth +inf, normal and illum 0),
+which is what a march of all-zero opacity gives.  On the other rays only
+the strata that may reach the interval are placed, each at the position a
+full placement gives it, and of those only the samples whose cell has a
+nonzero corner (``_pick_occupied``) are gathered: field, albedo and normals,
+and the light.  Their normals come from the gathered corners
+(``_interp_gradient``) instead of a full-grid gradient.  Every other sample
+would interpolate density 0, so its opacity and weight are exactly 0 and
+its albedo and light terms multiply 0; the composited buffers keep their
+bits.  Backward needs those samples, since their field gradient is not 0,
+so a kept density march places and gathers every sample.  So does a
+density without a zero node, and a density render whose occupied samples
+are more than ``_SKIP_MAX_SHARE`` of its marched samples gathers every
+placed one, where picking them costs more than it saves.
 
 An SDF's density never reaches 0, so an SDF march, kept or not, drops the
 samples whose every contribution is provably below ``_EPS`` = eps instead,
@@ -84,9 +92,10 @@ _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
 _C3 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
-# Above this share of occupied samples a forward-only density render gathers
-# every sample: on 64^3 and 128^3 density spheres, 64x64 views with 64 samples
-# per ray, picking the occupied ones was slower from a share of 0.6-0.85 up.
+# Above this share of occupied samples among the marched ones a forward-only density
+# render gathers every placed sample: on 64^3 and 128^3 density spheres, 64x64 views
+# with 64 samples per ray, picking the occupied ones was slower from a share of
+# 0.6-0.85 up.
 _SKIP_MAX_SHARE = 0.5
 # Opacity and transmittance below which an SDF sample is dropped (module docstring).
 _EPS = 1e-10
@@ -159,20 +168,23 @@ def _interp_gradient(field, spacing, op):
 
     Each corner's gradient is computed with ``np.gradient``'s arithmetic:
     (f[i+1] - f[i-1]) / (2.0*h) inside the grid and one-sided differences
-    divided by h on its faces, so the result is bitwise the full-grid one.
+    divided by h on its faces, for the 8 corners of every row in one pass;
+    the weighted corners are then summed in corner order from 0, as the
+    operator's product sums them, so the result is bitwise the full-grid one.
     """
     n = field.shape[0]
     flat = field.reshape(-1)
+    idx = op.indices
+    gvec = np.empty(idx.shape + (3,))
+    for axis, stride in enumerate((n * n, n, 1)):
+        i = idx // stride % n
+        above, below = i < n - 1, i > 0
+        h = np.where(above & below, 2.0 * spacing, spacing)
+        gvec[:, axis] = (flat[idx + stride * above] - flat[idx - stride * below]) / h
+    terms = (gvec * op.data[:, None]).reshape(-1, 8, 3)
     out = 0.0
-    for idx, w in zip(op.indices.reshape(-1, 8).T, op.data.reshape(-1, 8).T):
-        gvec = np.empty(idx.shape + (3,))
-        for axis, stride in enumerate((n * n, n, 1)):
-            i = idx // stride % n
-            up = np.where(i < n - 1, idx + stride, idx)
-            down = np.where(i > 0, idx - stride, idx)
-            h = np.where((i > 0) & (i < n - 1), 2.0 * spacing, spacing)
-            gvec[..., axis] = (flat[up] - flat[down]) / h
-        out = out + gvec * w[..., None]
+    for k in range(8):
+        out = out + terms[:, k]
     return out
 
 
@@ -197,19 +209,73 @@ def _per_sample(cell_values, points):
     return cell_values.reshape(-1)[(cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]]
 
 
-def _occupied_samples(field, points):
-    """Flat indices of the points that fall in a cell with a nonzero corner.
+def _occupied_cells(nonzero):
+    """The cells with a nonzero corner, and the box around them widened by one cell.
 
-    None when they are more than ``_SKIP_MAX_SHARE`` of the points: gathering
-    every point is then faster than picking and gathering the occupied ones.
+    Returns (occ, lo, hi): the (n-1)^3 cell mask of ``_occupancy``, and the
+    (3,) indices of the widened box's lowest cell and of the cell past its
+    highest, -1 and n on a face the occupied cells reach.  The node mask is
+    reduced per axis first and ``_occupancy`` runs on the box alone; every
+    cell outside it is False.  An all-zero mask gives an empty box, lo = hi;
+    a mask without a zero gives None, since every cell is then occupied.
     """
-    nonzero = field != 0.0
     if nonzero.all():
-        return None  # every cell is occupied
-    occupied = _per_sample(_occupancy(nonzero), points)
-    if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * points.shape[0]:
+        return None
+    n = nonzero.shape[0]
+    occ = np.zeros((n - 1,) * 3, dtype=bool)
+    lo, hi = [], []
+    yz = nonzero.any(axis=0)
+    for nodes in map(np.flatnonzero, (nonzero.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))):
+        if nodes.size == 0:
+            return occ, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+        # Cells nodes[0] - 1 to nodes[-1] have a nonzero corner.
+        lo.append(max(nodes[0] - 1, 0))
+        hi.append(min(nodes[-1] + 1, n - 1))
+    occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = _occupancy(
+        nonzero[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1])
+    return occ, np.array(lo) - 1, np.array(hi) + 1
+
+
+def _pick_occupied(occ, points, marched):
+    """Flat indices of the (m, 3) ``points`` that fall in a cell of the (n-1)^3 mask ``occ``.
+
+    None when they are more than ``_SKIP_MAX_SHARE`` of the ``marched``
+    samples: gathering every point is then faster than picking and gathering
+    the occupied ones.
+    """
+    occupied = _per_sample(occ, points)
+    if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * marched:
         return None
     return np.flatnonzero(occupied)
+
+
+def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
+    """The hit rays that meet the box of the cells ``lo`` to ``hi`` - 1 (``_occupied_cells``),
+    and the strata of theirs that may hold a point of it.
+
+    A slab test gives each ray the interval [t_a, t_b] it spends in the box
+    and the cube; a ray meets the box when t_a < t_b, which no ray does when
+    the box is empty.  A point at t lies in stratum floor((t - t0) / dt), so
+    a point of the interval lies in the strata [floor((t_a - t0) / dt),
+    ceil((t_b - t0) / dt)); one more on either side absorbs rounding, as the
+    box's border of empty cells does for the slab test.
+    Returns (rays, (rows, j)): the indices of the meeting rays, and for each
+    placed stratum its row in ``rays`` and its index j.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        near = (-0.5 + lo * spacing - origin) / dirs
+        far = (-0.5 + hi * spacing - origin) / dirs
+    # fmin/fmax skip the NaN of a ray that runs along a face plane.
+    t_a = np.maximum(t0, np.max(np.fmin(near, far), axis=1))
+    t_b = np.minimum(t1, np.min(np.fmax(near, far), axis=1))
+    rays = np.flatnonzero(t_a < t_b)
+    t0, dt = t0[rays], dt[rays]
+    first = np.maximum(np.floor((t_a[rays] - t0) / dt) - 1, 0).astype(np.int64)
+    stop = np.minimum(np.ceil((t_b[rays] - t0) / dt) + 1, n_samples).astype(np.int64)
+    counts = stop - first
+    rows = np.repeat(np.arange(len(rays)), counts)
+    j = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    return rays, (rows, j)
 
 
 def _sdf_samples(grid, pos, dt):
@@ -273,13 +339,18 @@ def table_scatter(shape, lop, weights):
     return (lop.T @ weights.ravel()).reshape(shape)
 
 
-def _sample_points(origin, dirs_flat, pix_flat, t0, t1, n_samples, jitter_seed):
-    dt = (t1 - t0) / n_samples
-    j = np.arange(n_samples, dtype=np.uint64)[None, :]
-    xi = hash01(pix_flat[:, None].astype(np.uint64), j, jitter_seed)
-    t = t0[:, None] + (np.arange(n_samples)[None, :] + xi) * dt[:, None]
-    pos = origin[None, None, :] + t[:, :, None] * dirs_flat[:, None, :]
-    return t, dt, pos
+def _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata=None):
+    """Sample distances and world positions on the hit rays.
+
+    Stratum j of a ray holds one sample at t0 + (j + jitter) * dt, the jitter
+    keyed by (pixel, j).  Every stratum of every ray is placed, shaped
+    (rays, n_samples[, 3]), unless ``strata`` = (rows, j) names the strata to
+    place, one sample each, shaped (m[, 3]); a sample has the same bits either way.
+    """
+    rows, j = (np.s_[:, None], np.arange(n_samples)) if strata is None else strata
+    xi = hash01(pix[rows], j, jitter_seed)
+    t = t0[rows] + (j + xi) * dt[rows]
+    return t, origin + t[..., None] * dirs[rows]
 
 
 class _March(NamedTuple):
@@ -310,6 +381,14 @@ def _place(shape, idx, values, fill):
     return out
 
 
+def _place_rays(shape, idx, buffers, background):
+    """The (rgb, mask, depth, normal, illum) ``buffers`` of rays ``idx`` placed into arrays
+    of ``shape`` rays, every other ray holding a miss: background, mask 0, depth +inf,
+    normal 0 and illum 0."""
+    return tuple(_place(shape, idx, values, fill)
+                 for values, fill in zip(buffers, (background, 0.0, np.inf, 0.0, 0.0)))
+
+
 def _sums(m):
     """Per-ray weight sums of a march: mask, and depth and irradiance not yet divided by it."""
     return m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
@@ -329,32 +408,57 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
     normals, or None to take them from the field gradient, whose nodes the
     caller's ``node_gradient(field, spacing)`` computes.  An SDF grid gathers
-    only the samples that pass the cell test and lie before the opaque cut,
-    and unless the caller keeps the march (``keep_march``), a density grid
-    gathers only the samples of occupied cells, their normals from the corner
-    nodes alone, when those are at most ``_SKIP_MAX_SHARE`` of the samples
-    (module docstring).
+    only the samples that pass the cell test and lie before the opaque cut.
+    Unless the caller keeps the march (``keep_march``), a density grid
+    marches only the rays that meet the box of its occupied cells, places
+    only their strata that may reach it, and gathers only the samples of
+    occupied cells, their normals from the corner nodes alone, when those are
+    at most ``_SKIP_MAX_SHARE`` of the samples (module docstring).
 
-    Returns (march, normals, rgb, mask, depth, normal, illum): the march
-    holds what ``backward`` reads, normals are the (rays, samples, 3)
-    shading normals (the frozen ones as given, else the field's, 0 at the
-    samples not gathered), and each buffer after them has one row per hit ray:
-    depth and illum are divided by the mask where it reaches
-    ``ImageBundle.VALID_MASK``, depth is +inf and illum and normal 0
-    elsewhere, and normal is the unit field gradient at the expected depth.
+    Returns (march, normals, rgb, mask, depth, normal, illum).  With
+    ``keep_march`` the march holds what ``backward`` reads and normals are
+    the (rays, samples, 3) shading normals (the frozen ones as given, else
+    the field's, 0 at the samples not gathered); without it both are None.
+    Each buffer has one row per hit ray: depth and illum are divided by the
+    mask where it reaches ``ImageBundle.VALID_MASK``, depth is +inf and
+    illum and normal 0 elsewhere, and normal is the unit field gradient at
+    the expected depth.
     """
-    t, dt, pos = _sample_points(origin, dirs, pix, t0, t1, n_samples, jitter_seed)
-    shape = pos.shape[:2]
-    flat = pos.reshape(-1, 3)
     sdf = grid.kind == "sdf"
-    if sdf:
-        keep = _sdf_samples(grid, pos, dt)
+    n_hit = len(pix)
+    dt = (t1 - t0) / n_samples
+    cells = None if sdf or keep_march else _occupied_cells(grid.field != 0.0)
+    rays = strata = None
+    if cells is not None:
+        # Only the rays that meet the occupied box are marched, on the strata that may reach it.
+        occ, lo, hi = cells
+        rays, strata = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
+        dirs, t0, pix, dt = dirs[rays], t0[rays], pix[rays], dt[rays]
+        if normals is not None:
+            normals = normals[rays]
+    shape = (len(pix), n_samples)
+
+    def grid_normals():
+        return node_gradient(grid.field, grid.spacing) if normals is None else None
+
+    # Before placement where it is known to be needed, so that node_gradient's temporaries
+    # do not add to the samples.  Picked density samples take their normals from the
+    # gathered corners instead.
+    nodes = grid_normals() if strata is None else None
+    t, pos = _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata)
+    if strata is None:
+        keep = _sdf_samples(grid, pos, dt) if sdf else None
+        pos = pos.reshape(-1, 3)
+        if keep is not None:
+            pos = pos[keep]
     else:
-        keep = None if keep_march else _occupied_samples(grid.field, flat)
-    # Before the operator, so that node_gradient's temporaries do not add to it.  A density
-    # grid's picked samples take their normals from the gathered corners instead.
-    grid_normals = normals is None and (sdf or keep is None)
-    nodes = node_gradient(grid.field, grid.spacing) if grid_normals else None
+        keep = strata[0] * n_samples + strata[1]
+        occupied = _pick_occupied(occ, pos, n_hit * n_samples)
+        if occupied is None:
+            nodes = grid_normals()
+        else:
+            keep, pos, t = keep[occupied], pos[occupied], t[occupied]
+        t = _place(shape, keep, t, 0.0)
 
     # Both read ``keep`` when called, so they follow the opaque cut below.
     def pick(rows):
@@ -365,8 +469,8 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
             return rows.reshape(shape + rows.shape[1:])
         return _place(shape, keep, rows, 0.0)
 
-    op = _trilinear(pick(flat), grid.resolution)
-    del pos, flat
+    op = _trilinear(pos, grid.resolution)
+    del pos
     f = _interp(grid.field, op)
     dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if sdf else f)
     a = -np.expm1(-dens * dt[:, None])
@@ -409,7 +513,10 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     surface = origin[None, :] + depth[valid, None] * dirs[valid]
     gvec = _interp_gradient(grid.field, grid.spacing, _trilinear(surface, grid.resolution))
     normal[valid] = _unit_normals(grid, gvec)
-    return m, normals, rgb, mask, depth, normal, illum
+    buffers = rgb, mask, depth, normal, illum
+    if rays is not None:
+        buffers = _place_rays((n_hit,), rays, buffers, background)
+    return ((m, normals) if keep_march else (None, None)) + tuple(buffers)
 
 
 def backward(cache, g_rgb, g_mask, g_depth, g_illum):
@@ -441,34 +548,36 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     gwc = g_mask + np.where(
         valid, -(g_depth * depth_acc + g_illum * illum_acc) / (safe * safe), 0.0
     )
-
-    grgb_dot_alb = np.einsum("rc,rsc->rs", grgb, m.alb)
-    g_per_w = (
-        grgb_dot_alb * m.light + gwc[:, None] + gwt[:, None] * m.t + gwl[:, None] * m.light
-    )
     bgdot = grgb @ cache.background
-    # Suffix sums: S_k = sum_{j>k} G_j w_j + bgdot * T_final.
-    gw = g_per_w * m.w
-    suffix = np.cumsum(gw[:, ::-1], axis=1)[:, ::-1]
-    suffix = np.concatenate([suffix[:, 1:], np.zeros((gw.shape[0], 1))], axis=1)
-    suffix += (bgdot * m.trans[:, -1])[:, None]
-    d_dens = m.dt[:, None] * ((1.0 - m.a) * g_per_w * m.t_exc - suffix)
-    del gw, suffix, g_per_w
+
+    # Every term is taken at the gathered samples only, of the rays ``rows``; the others
+    # have weight 0, and reach the gradients only through the suffix sums.
     n_rays, n_samples = m.a.shape
     keep = np.arange(n_rays * n_samples) if m.keep is None else m.keep
+    rows = keep // n_samples
 
-    def pick(rows):
-        return rows.reshape(-1)[keep]
+    def pick(values):
+        return values.reshape((-1,) + values.shape[2:])[keep]
 
-    d_dens = pick(d_dens)
+    grgb = grgb[rows]
+    light, w = pick(m.light), pick(m.w)
+    grgb_dot_alb = np.einsum("rc,rc->r", grgb, pick(m.alb))
+    g_per_w = grgb_dot_alb * light + gwc[rows] + gwt[rows] * pick(m.t) + gwl[rows] * light
+    # Suffix sums: S_k = sum_{j>k} G_j w_j + bgdot * T_final.
+    gw = _place(m.a.shape, keep, g_per_w * w, 0.0)
+    suffix = np.cumsum(gw[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.concatenate([suffix[:, 1:], np.zeros((n_rays, 1))], axis=1)
+    suffix += (bgdot * m.trans[:, -1])[:, None]
+    d_dens = m.dt[rows] * ((1.0 - pick(m.a)) * g_per_w * pick(m.t_exc) - pick(suffix))
+    del gw, suffix, g_per_w
     if grid.kind == "sdf":
         sig = pick(m.dens) / grid.sdf_alpha
         d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
 
     g_field = (m.op.T @ d_dens).reshape(grid.field.shape)
-    g_alb_samples = pick(m.w * m.light)[:, None] * grgb[keep // n_samples]
+    g_alb_samples = (w * light)[:, None] * grgb
     g_albedo = (m.op.T @ g_alb_samples).reshape(grid.albedo.shape)
     del g_alb_samples
-    g_light_samples = pick(m.w * (grgb_dot_alb + gwl[:, None]))
+    g_light_samples = w * (grgb_dot_alb + gwl[rows])
     g_table = table_scatter(cache.light.values.shape, m.lop, g_light_samples)
     return g_field, g_albedo, g_table

@@ -98,7 +98,8 @@ def camera_rays(camera):
 
 def intersect_unit_cube(origin, dirs):
     """Slab test against [-0.5, 0.5]^3; entry clamped to the camera."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero or subnormal direction component gives an infinite slab distance.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo = (-0.5 - origin) / dirs
         hi = (0.5 - origin) / dirs
     near = np.where(np.isnan(lo), -np.inf, np.minimum(lo, hi))
@@ -163,10 +164,13 @@ def render(
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
     normals of the march are returned too: ``normals_override`` as given, or
     else the field's, zero at the samples the march did not gather.  Either
-    of the two keeps the march, which makes a density grid's march gather
-    every sample.  An SDF grid's march, kept or not, drops the samples whose
-    contributions are provably below ``_render_np._EPS``; the module
-    docstring of ``_render_np`` bounds what that moves.
+    of the two keeps the march, which makes a density grid's march place and
+    gather every sample; without them a density render marches only the rays
+    that meet the box of its occupied cells, on the strata that may reach it,
+    and renders the others as misses, with the same bits.  An SDF grid's
+    march, kept or not, drops the samples whose contributions are provably
+    below ``_render_np._EPS``; the module docstring of ``_render_np`` bounds
+    what that moves.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:
@@ -198,10 +202,7 @@ def render(
         pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=frozen,
         keep_march=want_cache or want_sample_normals, node_gradient=node_gradient,
     )
-    rgb, mask, depth, normal, illum = (
-        _render_np._place(hit.shape, ridx, values, fill)
-        for values, fill in zip(rays, (background, 0.0, np.inf, 0.0, 0.0))
-    )
+    rgb, mask, depth, normal, illum = _render_np._place_rays(hit.shape, ridx, rays, background)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:

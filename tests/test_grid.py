@@ -96,27 +96,50 @@ class TestOccupancy:
                    for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
         np.testing.assert_array_equal(_render_np._cell_min(field), np.min(corners, axis=0))
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_box_holds_every_occupied_cell(self, seed):
+        field = _sparse_field(seed)
+        occ, lo, hi = _render_np._occupied_cells(field != 0.0)
+        np.testing.assert_array_equal(occ, _reference_occupancy(field))
+        # The box is one empty cell wider than the occupied cells on every side.
+        cells = np.argwhere(occ)
+        np.testing.assert_array_equal(lo, cells.min(axis=0) - 1)
+        np.testing.assert_array_equal(hi, cells.max(axis=0) + 2)
+
+    def test_empty_and_full_masks(self):
+        occ, lo, hi = _render_np._occupied_cells(np.zeros((N, N, N), dtype=bool))
+        assert not occ.any() and occ.shape == (N - 1,) * 3
+        np.testing.assert_array_equal(lo, hi)
+        assert _render_np._occupied_cells(np.ones((N, N, N), dtype=bool)) is None
+
     @given(points=points_strategy, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_unoccupied_samples_gather_zero(self, points, seed):
         field = _sparse_field(seed)
+        occ, _, _ = _render_np._occupied_cells(field != 0.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_render_np, "_SKIP_MAX_SHARE", 1.0)
-            kept = _render_np._occupied_samples(field, points)
+            kept = _render_np._pick_occupied(occ, points, len(points))
         rest = np.delete(points, kept, axis=0)
         assert np.all(_render_np._interp(field, _render_np._trilinear(rest, N)) == 0.0)
 
     def test_mostly_occupied_points_are_not_picked(self):
         points = np.random.default_rng(3).uniform(-0.5, 0.5, (200, 3))
+
+        def pick(field):
+            occ, _, _ = _render_np._occupied_cells(field != 0.0)
+            return _render_np._pick_occupied(occ, points, len(points))
+
         field = np.zeros((N, N, N))
-        assert _render_np._occupied_samples(field, points).size == 0
+        assert pick(field).size == 0
         field[2, 2, 2] = 1.0
-        kept = _render_np._occupied_samples(field, points)
+        kept = pick(field)
         assert 0 < kept.size <= _render_np._SKIP_MAX_SHARE * len(points)
         field = np.ones((N, N, N))
-        assert _render_np._occupied_samples(field, points) is None
+        assert _render_np._occupied_cells(field != 0.0) is None  # every cell: gather all
         field[0, 0, 0] = 0.0
-        assert _render_np._occupied_samples(field, points) is None
+        assert pick(field) is None
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitforge.render as render_module
@@ -424,6 +424,183 @@ class TestEmptySpaceSkipping:
         monkeypatch.setattr(render_module, "node_gradient", lambda *args: calls.append(args))
         render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES)
         assert calls == []
+
+
+def sparse_field(case, n):
+    """A density field that is 0 except at one node or in a few separate blobs."""
+    field = np.zeros((n, n, n))
+    nodes = {"interior": (n // 2, n // 3, n // 2 + 1), "face": (n - 1, n // 2, n // 3),
+             "corner": (0, n - 1, 0)}
+    if case in nodes:
+        field[nodes[case]] = 7.0
+        return field
+    x = np.linspace(-0.5, 0.5, n)
+    rng = np.random.default_rng(n)
+    for centre in ((-0.3, 0.25, 0.1), (0.35, -0.2, -0.3), (0.1, 0.1, 0.45)):
+        r = np.sqrt(sum((c - x0) ** 2 for c, x0 in zip(np.meshgrid(x, x, x, indexing="ij"),
+                                                       centre)))
+        field[r < 0.12] = rng.uniform(5.0, 50.0)
+    return field
+
+
+SPARSE_CASES = ["interior", "face", "corner", "blobs"]
+
+
+def placed_strata(field, origin, dirs, jitter_seed):
+    """The full placement's samples of the rays (origin, dirs) that lie in an occupied
+    cell, whether ``_box_strata`` placed each, and whether a placed sample kept its bits."""
+    n = field.shape[0]
+    t0, t1, hit = intersect_unit_cube(origin, dirs)
+    pix = np.flatnonzero(hit)
+    dirs, t0, t1 = dirs.reshape(-1, 3)[pix], t0.ravel()[pix], t1.ravel()[pix]
+    dt = (t1 - t0) / SAMPLES
+    t, pos = _render_np._sample_points(origin, dirs, pix, t0, dt, SAMPLES, jitter_seed)
+    cell, _ = _render_np._cells(pos.reshape(-1, 3), n)
+    occupied = _render_np._occupancy(field != 0.0)[cell[:, 0], cell[:, 1], cell[:, 2]]
+    _, lo, hi = _render_np._occupied_cells(field != 0.0)
+    rays, (rows, j) = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi,
+                                             1.0 / (n - 1))
+    placed = np.zeros((len(pix), SAMPLES), dtype=bool)
+    placed[rays[rows], j] = True
+    got_t, got_pos = _render_np._sample_points(origin, dirs[rays], pix[rays], t0[rays],
+                                               dt[rays], SAMPLES, jitter_seed, (rows, j))
+    same_bits = (got_t.tobytes() == t[rays[rows], j].tobytes()
+                 and got_pos.tobytes() == pos[rays[rows], j].tobytes())
+    return occupied.reshape(placed.shape), placed, same_bits
+
+
+class TestRayIntervals:
+    """A forward-only density march places only the strata that can reach an occupied cell."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    @given(elevation=st.floats(-89.0, 89.0), azimuth=st.floats(0.0, 359.0),
+           distance=st.floats(0.05, 3.0), fov=st.floats(20.0, 120.0),
+           jitter_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_conservative_on_camera_rays(self, n, case, elevation, azimuth, distance, fov,
+                                         jitter_seed):
+        """Every occupied sample of a full placement is placed, from outside the cube or
+        inside it (distance below 0.5, where t0 = 0)."""
+        cam = Camera(CameraPose(elevation, azimuth), distance, width=12, height=12, fov_deg=fov)
+        occupied, placed, same_bits = placed_strata(sparse_field(case, n), *camera_rays(cam),
+                                                    jitter_seed)
+        assert not (occupied & ~placed).any()
+        assert same_bits
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    @given(origin=st.tuples(*[st.floats(-2.0, 2.0)] * 3), jitter_seed=st.integers(0, 2**32 - 1))
+    @example(origin=(0.0, 1.0, 2.225073858507203e-309), jitter_seed=0)  # a subnormal direction
+    @settings(max_examples=25, deadline=None)
+    def test_conservative_on_grazing_rays(self, case, origin, jitter_seed):
+        """Rays through the corners and edge midpoints of the occupied cells' box, and rays
+        that run along its faces."""
+        n = 8
+        field = sparse_field(case, n)
+        h = 1.0 / (n - 1)
+        occupied_cells = np.argwhere(_render_np._occupancy(field != 0.0))
+        lo = -0.5 + occupied_cells.min(axis=0) * h
+        hi = -0.5 + (occupied_cells.max(axis=0) + 1) * h
+        mid = (lo + hi) / 2.0
+        targets = [np.where(np.array(c) == 0, lo, np.where(np.array(c) == 1, hi, mid))
+                   for c in np.ndindex(3, 3, 3)]
+        origin = np.array(origin)
+        dirs = np.array(targets) - origin
+        lengths = np.linalg.norm(dirs, axis=1)
+        dirs = dirs[lengths > 1e-9] / lengths[lengths > 1e-9, None]
+        # Along each face plane, axis-parallel to one of its edges.
+        along = []
+        for axis in range(3):
+            for plane in (lo[axis], hi[axis]):
+                for other in {0, 1, 2} - {axis}:
+                    start = mid.copy()
+                    start[axis] = plane
+                    start[other] = -0.9
+                    d = np.zeros(3)
+                    d[other] = 1.0
+                    along.append((start, d))
+        occupied, placed, same_bits = placed_strata(field, origin, dirs, jitter_seed)
+        assert not (occupied & ~placed).any()
+        assert same_bits
+        for start, d in along:
+            occupied, placed, same_bits = placed_strata(field, start, d[None], jitter_seed)
+            assert not (occupied & ~placed).any()
+            assert same_bits
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    @pytest.mark.parametrize("pose", [(20.0, 35.0, 2.0), (-50.0, 250.0, 1.3), (10.0, 180.0, 0.3),
+                                      (60.0, 90.0, 0.1)],
+                             ids=["outside", "outside-below", "inside", "inside-near-centre"])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["own-normals", "normals-override"])
+    def test_matches_the_full_march(self, case, pose, frozen):
+        grid = SceneGrid("density", sparse_field(case, 16),
+                         np.random.default_rng(1).uniform(0.2, 0.8, (16, 16, 16, 3)))
+        cam = Camera(CameraPose(*pose[:2]), pose[2], width=PX, height=PX, fov_deg=90.0)
+        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND, jitter_seed=3)
+        if frozen:
+            normals = np.random.default_rng(2).standard_normal((PX, PX, SAMPLES, 3))
+            kwargs["normals_override"] = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+        skipped = render(grid, cam, light_table(), **kwargs)
+        full, _ = render(grid, cam, light_table(), want_cache=True, **kwargs)
+        for name in FIELDS:
+            assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_rays_that_miss_the_box_place_nothing(self, monkeypatch):
+        placed = []
+        sample_points = _render_np._sample_points
+
+        def recorded(*args):
+            t, pos = sample_points(*args)
+            placed.append(t.size)
+            return t, pos
+
+        monkeypatch.setattr(_render_np, "_sample_points", recorded)
+        grid = SceneGrid("density", sparse_field("blobs", 16), np.full((16, 16, 16, 3), 0.5))
+        hit = intersect_unit_cube(*camera_rays(camera()))[2]
+        bundle = render(grid, camera(), light_table(), samples_per_ray=SAMPLES)
+        assert bundle.mask.max() > 0.0
+        assert 0 < placed[0] < hit.sum() * SAMPLES
+        placed.clear()
+        render(SceneGrid.empty("density", 16), camera(), light_table(), samples_per_ray=SAMPLES)
+        assert placed == [0]
+
+    @pytest.mark.parametrize("pose", [(20.0, 35.0, 2.0), (10.0, 180.0, 0.3)],
+                             ids=["outside", "inside"])
+    def test_all_zero_field_renders_misses(self, pose):
+        cam = Camera(CameraPose(*pose[:2]), pose[2], width=PX, height=PX, fov_deg=90.0)
+        bundle = render(SceneGrid.empty("density", 8), cam, light_table(),
+                        samples_per_ray=SAMPLES, background=BACKGROUND)
+        TestNoRayHitsTheCube.assert_background(bundle)
+
+    def test_over_the_share_cap_matches_the_full_march(self, monkeypatch):
+        """A box that fills the cube places every stratum; its occupied samples are more
+        than ``_SKIP_MAX_SHARE`` of them, so all are gathered, with the full-grid gradient."""
+        n = 16
+        x = np.linspace(-0.5, 0.5, n)
+        r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
+        grid = SceneGrid("density", np.where(r < 0.55, 30.0, 0.0),
+                         np.random.default_rng(4).uniform(0.2, 0.8, (n, n, n, 3)))
+        calls = []
+        monkeypatch.setattr(render_module, "node_gradient",
+                            lambda *args: calls.append(args) or node_gradient(*args))
+        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND)
+        skipped = render(grid, camera(), light_table(), **kwargs)
+        assert len(calls) == 1
+        full, _ = render(grid, camera(), light_table(), want_cache=True, **kwargs)
+        for name in FIELDS:
+            assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes()
+
+    def test_gather_all_takes_the_gradient_before_placing(self, monkeypatch):
+        """A density without a zero node gathers every sample, which is known before any
+        sample is placed, so the full-grid gradient comes first."""
+        order = []
+        sample_points = _render_np._sample_points
+        monkeypatch.setattr(render_module, "node_gradient",
+                            lambda *args: order.append("node_gradient") or node_gradient(*args))
+        monkeypatch.setattr(_render_np, "_sample_points",
+                            lambda *args: order.append("place") or sample_points(*args))
+        render(scene("density"), camera(), light_table(), samples_per_ray=SAMPLES)
+        assert order == ["node_gradient", "place"]
 
 
 class TestBoundedErrorMarch:

@@ -165,8 +165,18 @@ def scenes():
                                want_cache=True, want_sample_normals=True)
         d.backward(cache, *upstream(np.random.default_rng(SEED), (2, 2)))
 
+    def face_blob64_forward(d):
+        # An off-centre blob that reaches the +x face, seen from the orbit and from a camera
+        # inside the cube on the far side of the centre.
+        x = np.linspace(-0.5, 0.5, 64)
+        r = np.sqrt((x[:, None, None] - 0.35) ** 2 + (x[None, :, None] - 0.1) ** 2
+                    + (x[None, None, :] + 0.05) ** 2)
+        inside = O.Camera(O.CameraPose(10.0, 180.0), 0.3, width=W.IMAGE_PX, height=W.IMAGE_PX)
+        forward_orbit(d, density_grid(np.where(r < 0.15, W.DENSITY_INSIDE, 0.0)),
+                      cameras + [inside], light)
+
     return [density128_forward, sdf64_training, density128_training, gaussian64_forward,
-            hard_sphere64_forward, miss_2x2_training, sdf64_forward]
+            hard_sphere64_forward, miss_2x2_training, sdf64_forward, face_blob64_forward]
 
 
 def run(scenes, description):
