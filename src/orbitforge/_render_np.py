@@ -13,6 +13,10 @@ reproducible for a given ``jitter_seed``.
 ``forward`` builds each sparse operator once per march: ``_trilinear``'s
 for the grid gathers (``_interp``) and ``_bilinear``'s for the light table
 (``table_lookup``); ``backward`` only scatters through their transposes.
+Shading normals are the field gradient at the gathered samples, taken by
+``_interp_gradient`` from the operator's corners alone when it has fewer
+than n^3 / ``_STENCIL_COST`` entries, and else from the full-grid node
+gradient and one product; both give the same bits.
 
 A density render whose march is not kept skips empty space exactly.  It
 takes the box of the cells with a nonzero corner, widened by one cell
@@ -22,20 +26,16 @@ composites as a miss (background, mask 0, depth +inf, normal and illum 0),
 which is what a march of all-zero opacity gives.  On the other rays only
 the strata that may reach the interval are placed, each at the position a
 full placement gives it, and of those only the samples whose cell has a
-nonzero corner (``_pick_occupied``) are gathered: field, albedo and normals,
-and the light.  Their normals come from the gathered corners
-(``_interp_gradient``) instead of a full-grid gradient.  Every other sample
-would interpolate density 0, so its opacity and weight are exactly 0 and
-its albedo and light terms multiply 0; the composited buffers keep their
-bits.  Backward needs those samples, since their field gradient is not 0,
-so a kept density march places and gathers every sample.  So does a
-density without a zero node, and a density render whose occupied samples
-are more than ``_SKIP_MAX_SHARE`` of its marched samples gathers every
-placed one, where picking them costs more than it saves.
+nonzero corner are gathered: field, albedo and normals, and the light.
+Every other sample would interpolate density 0, so its opacity and weight
+are exactly 0 and its albedo and light terms multiply 0; the composited
+buffers keep their bits.  Backward needs those samples, since their field
+gradient is not 0, so a kept density march places and gathers every
+sample.  So does a density without a zero node.
 
 An SDF's density never reaches 0, so an SDF march, kept or not, drops the
 samples whose every contribution is provably below ``_EPS`` = eps instead,
-and gathers the rest, normals from the full-grid node gradient:
+and gathers the rest:
 
 1. The cell test (``_sdf_samples``).  The trilinear SDF s is at least the
    smallest corner s_min of its cell, and sigmoid(x) <= exp(x), so a
@@ -86,17 +86,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import ImageBundle, sdf_to_density
+from .grid import ImageBundle, node_gradient, sdf_to_density
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
 _C3 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / 9007199254740992.0
-# Above this share of occupied samples among the marched ones a forward-only density
-# render gathers every placed sample: on 64^3 and 128^3 density spheres, 64x64 views
-# with 64 samples per ray, picking the occupied ones was slower from a share of
-# 0.6-0.85 up.
-_SKIP_MAX_SHARE = 0.5
+# What one operator entry's corner stencil costs in ``_interp_gradient``, in units of
+# one node of the full-grid gradient and its product: on prefixes of render operators
+# the two routes broke even at 3.8-4.5 at 64^3 and 2.8-5.0 at 128^3.
+_STENCIL_COST = 4
 # Opacity and transmittance below which an SDF sample is dropped (module docstring).
 _EPS = 1e-10
 
@@ -164,14 +163,18 @@ def _interp(values, op):
 
 
 def _interp_gradient(field, spacing, op):
-    """``_interp(node_gradient(field, spacing), op)`` from the gathered corners alone.
+    """``_interp(node_gradient(field, spacing), op)``, bitwise, by the cheaper of two routes.
 
-    Each corner's gradient is computed with ``np.gradient``'s arithmetic:
-    (f[i+1] - f[i-1]) / (2.0*h) inside the grid and one-sided differences
-    divided by h on its faces, for the 8 corners of every row in one pass;
-    the weighted corners are then summed in corner order from 0, as the
-    operator's product sums them, so the result is bitwise the full-grid one.
+    An operator with fewer than ``field.size / _STENCIL_COST`` entries reads
+    its corners alone: each corner's gradient is computed with
+    ``np.gradient``'s arithmetic, (f[i+1] - f[i-1]) / (2.0*h) inside the grid
+    and one-sided differences divided by h on its faces, for the 8 corners of
+    every row in one pass, and the weighted corners are summed in corner
+    order from 0, as the operator's product sums them.  A larger one takes
+    the full-grid gradient and one product.
     """
+    if _STENCIL_COST * op.nnz >= field.size:
+        return _interp(node_gradient(field, spacing), op)
     n = field.shape[0]
     flat = field.reshape(-1)
     idx = op.indices
@@ -234,19 +237,6 @@ def _occupied_cells(nonzero):
     occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = _occupancy(
         nonzero[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1])
     return occ, np.array(lo) - 1, np.array(hi) + 1
-
-
-def _pick_occupied(occ, points, marched):
-    """Flat indices of the (m, 3) ``points`` that fall in a cell of the (n-1)^3 mask ``occ``.
-
-    None when they are more than ``_SKIP_MAX_SHARE`` of the ``marched``
-    samples: gathering every point is then faster than picking and gathering
-    the occupied ones.
-    """
-    occupied = _per_sample(occ, points)
-    if np.count_nonzero(occupied) > _SKIP_MAX_SHARE * marched:
-        return None
-    return np.flatnonzero(occupied)
 
 
 def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
@@ -401,19 +391,18 @@ def _transmittance(a):
 
 
 def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
-            normals, keep_march, node_gradient):
+            normals, keep_march):
     """March the hit rays once and composite them into per-ray buffers.
 
     ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
     hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
-    normals, or None to take them from the field gradient, whose nodes the
-    caller's ``node_gradient(field, spacing)`` computes.  An SDF grid gathers
-    only the samples that pass the cell test and lie before the opaque cut.
-    Unless the caller keeps the march (``keep_march``), a density grid
-    marches only the rays that meet the box of its occupied cells, places
-    only their strata that may reach it, and gathers only the samples of
-    occupied cells, their normals from the corner nodes alone, when those are
-    at most ``_SKIP_MAX_SHARE`` of the samples (module docstring).
+    normals, or None to take them from the field gradient at the gathered
+    samples (``_interp_gradient``).  An SDF grid gathers only the samples
+    that pass the cell test and lie before the opaque cut.  Unless the caller
+    keeps the march (``keep_march``), a density grid marches only the rays
+    that meet the box of its occupied cells, places only their strata that
+    may reach it, and gathers only the samples of occupied cells (module
+    docstring).
 
     Returns (march, normals, rgb, mask, depth, normal, illum).  With
     ``keep_march`` the march holds what ``backward`` reads and normals are
@@ -437,14 +426,6 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
         if normals is not None:
             normals = normals[rays]
     shape = (len(pix), n_samples)
-
-    def grid_normals():
-        return node_gradient(grid.field, grid.spacing) if normals is None else None
-
-    # Before placement where it is known to be needed, so that node_gradient's temporaries
-    # do not add to the samples.  Picked density samples take their normals from the
-    # gathered corners instead.
-    nodes = grid_normals() if strata is None else None
     t, pos = _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata)
     if strata is None:
         keep = _sdf_samples(grid, pos, dt) if sdf else None
@@ -452,13 +433,10 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
         if keep is not None:
             pos = pos[keep]
     else:
-        keep = strata[0] * n_samples + strata[1]
-        occupied = _pick_occupied(occ, pos, n_hit * n_samples)
-        if occupied is None:
-            nodes = grid_normals()
-        else:
-            keep, pos, t = keep[occupied], pos[occupied], t[occupied]
-        t = _place(shape, keep, t, 0.0)
+        occupied = np.flatnonzero(_per_sample(occ, pos))
+        keep = (strata[0] * n_samples + strata[1])[occupied]
+        pos = pos[occupied]
+        t = _place(shape, keep, t[occupied], 0.0)
 
     # Both read ``keep`` when called, so they follow the opaque cut below.
     def pick(rows):
@@ -488,10 +466,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
             trans, t_exc = _transmittance(a)
     alb = full(_interp(grid.albedo, op))
     if normals is None:
-        gvec = (_interp(nodes, op) if nodes is not None
-                else _interp_gradient(grid.field, grid.spacing, op))
-        shading = _unit_normals(grid, gvec)
-        del nodes, gvec
+        shading = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))
         normals = full(shading)
     else:
         shading = pick(normals.reshape(-1, 3))

@@ -110,9 +110,21 @@ class ImageBundle:
 
 
 def node_gradient(field, spacing):
-    """Per-node spatial gradient via central differences (one-sided edges)."""
+    """Per-node spatial gradient via central differences (one-sided edges).
+
+    ``np.gradient``'s arithmetic, (f[i+1] - f[i-1]) / (2.0*h) inside and
+    one-sided differences divided by h on the faces, written straight into
+    the output, so that no full-size temporary is built.
+    """
     field = np.asarray(field, dtype=np.float64)
     out = np.empty(field.shape + (3,))
     for axis in range(3):
-        out[..., axis] = np.gradient(field, spacing, axis=axis)
+        f = np.moveaxis(field, axis, 0)
+        g = np.moveaxis(out[..., axis], axis, 0)
+        np.subtract(f[2:], f[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0 * spacing
+        np.subtract(f[1], f[0], out=g[0])
+        g[0] /= spacing
+        np.subtract(f[-1], f[-2], out=g[-1])
+        g[-1] /= spacing
     return out

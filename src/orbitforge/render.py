@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _render_np
-from .grid import ImageBundle, SceneGrid, node_gradient
+from .grid import ImageBundle, SceneGrid
 from .orbits import camera_matrix
 from .sg import irradiance_basis
 
@@ -167,10 +167,13 @@ def render(
     of the two keeps the march, which makes a density grid's march place and
     gather every sample; without them a density render marches only the rays
     that meet the box of its occupied cells, on the strata that may reach it,
-    and renders the others as misses, with the same bits.  An SDF grid's
-    march, kept or not, drops the samples whose contributions are provably
-    below ``_render_np._EPS``; the module docstring of ``_render_np`` bounds
-    what that moves.
+    gathers only the samples of occupied cells, and renders the other rays as
+    misses, with the same bits.  An SDF grid's march, kept or not, drops the
+    samples whose contributions are provably below ``_render_np._EPS``; the
+    module docstring of ``_render_np`` bounds what that moves.  Shading
+    normals are the field gradient at the gathered samples, from their corner
+    nodes or from the full grid, whichever their count makes cheaper, with the
+    same bits either way.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:
@@ -194,13 +197,11 @@ def render(
         None if normals_override is None
         else normals_override.reshape(-1, samples_per_ray, 3)[ridx]
     )
-    # node_gradient is this module's attribute, read at call time, so that a wrapper on
-    # render.node_gradient (the benchmark's tracing, the tests) sees the kernel's call.
     march, sample_normals, *rays = _render_np.forward(
         grid, light.values, background,
         origin=origin, dirs=dirs.reshape(-1, 3)[ridx], t0=t0.ravel()[ridx], t1=t1.ravel()[ridx],
         pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=frozen,
-        keep_march=want_cache or want_sample_normals, node_gradient=node_gradient,
+        keep_march=want_cache or want_sample_normals,
     )
     rgb, mask, depth, normal, illum = _render_np._place_rays(hit.shape, ridx, rays, background)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)

@@ -118,28 +118,24 @@ class TestOccupancy:
     def test_unoccupied_samples_gather_zero(self, points, seed):
         field = _sparse_field(seed)
         occ, _, _ = _render_np._occupied_cells(field != 0.0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_render_np, "_SKIP_MAX_SHARE", 1.0)
-            kept = _render_np._pick_occupied(occ, points, len(points))
-        rest = np.delete(points, kept, axis=0)
+        rest = points[~_render_np._per_sample(occ, points)]
         assert np.all(_render_np._interp(field, _render_np._trilinear(rest, N)) == 0.0)
 
-    def test_mostly_occupied_points_are_not_picked(self):
+    def test_picks_the_points_of_occupied_cells(self):
         points = np.random.default_rng(3).uniform(-0.5, 0.5, (200, 3))
 
-        def pick(field):
+        def occupied(field):
             occ, _, _ = _render_np._occupied_cells(field != 0.0)
-            return _render_np._pick_occupied(occ, points, len(points))
+            return _render_np._per_sample(occ, points)
 
         field = np.zeros((N, N, N))
-        assert pick(field).size == 0
+        assert not occupied(field).any()
         field[2, 2, 2] = 1.0
-        kept = pick(field)
-        assert 0 < kept.size <= _render_np._SKIP_MAX_SHARE * len(points)
+        assert 0 < np.count_nonzero(occupied(field)) < len(points)
         field = np.ones((N, N, N))
         assert _render_np._occupied_cells(field != 0.0) is None  # every cell: gather all
         field[0, 0, 0] = 0.0
-        assert pick(field) is None
+        assert occupied(field).all()
 
 
 @st.composite
@@ -182,18 +178,33 @@ class TestTrilinear:
         assert op.toarray().tobytes() == _corner_loop(points, n).tobytes()
 
 
+class TestNodeGradient:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    @pytest.mark.parametrize("spacing", [0.37, 2.5])
+    def test_matches_np_gradient(self, n, spacing):
+        field = np.random.default_rng(n).standard_normal((n, n, n))
+        expected = np.stack([np.gradient(field, spacing, axis=a) for a in range(3)], axis=-1)
+        assert node_gradient(field, spacing).tobytes() == expected.tobytes()
+
+
 class TestInterpGradient:
     @given(case=lattice_cases())
     @settings(max_examples=60, deadline=None)
     def test_matches_full_grid_gradient(self, case):
+        """Bitwise, by the route the size rule picks and by each route forced: a cost of
+        0 takes the corner stencil, one of n^3 the full-grid gradient."""
         n, points, seed = case
         field = np.random.default_rng(seed).standard_normal((n, n, n))
         spacing = 1.0 / (n - 1)
         op = _render_np._trilinear(points, n)
-        expected = _render_np._interp(node_gradient(field, spacing), op)
-        got = _render_np._interp_gradient(field, spacing, op)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        nodes = np.stack([np.gradient(field, spacing, axis=a) for a in range(3)], axis=-1)
+        expected = _render_np._interp(nodes, op)
+        for cost in (_render_np._STENCIL_COST, 0.0, float(n ** 3)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_render_np, "_STENCIL_COST", cost)
+                got = _render_np._interp_gradient(field, spacing, op)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 def _four_term_lookup(ltable, normals):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import orbitforge.render as render_module
 from orbitforge import _render_np
 from orbitforge.grid import SceneGrid, node_gradient
 from orbitforge.orbits import Camera, CameraPose, adaptive_distance
@@ -38,14 +37,17 @@ def light_table():
 
 
 FIELDS = ("rgb", "mask", "depth", "normal", "illum")
+GRADS = ("field", "albedo", "light_table", "light_amplitudes")
 
 
-def hard_scene(n):
-    """A density sphere with a hard edge, so that most cells have 8 exactly-zero corners."""
+def hard_scene(n, radius=0.3):
+    """A density sphere with a hard edge.  At radius 0.3 most cells have 8 exactly-zero
+    corners; at 0.55 the box of the occupied cells is the whole cube."""
     rng = np.random.default_rng(6)
     x = np.linspace(-0.5, 0.5, n)
     r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
-    return SceneGrid("density", np.where(r < 0.3, 30.0, 0.0), rng.uniform(0.2, 0.8, (n, n, n, 3)))
+    return SceneGrid("density", np.where(r < radius, 30.0, 0.0),
+                     rng.uniform(0.2, 0.8, (n, n, n, 3)))
 
 
 def scene(kind, n=N):
@@ -342,7 +344,7 @@ class TestForwardMarchIsReused:
         render(grid, camera(elevation=-30.0, azimuth=200.0), light, samples_per_ray=SAMPLES,
                jitter_seed=7, want_cache=True)
         second = render_backward(cache, *upstream)
-        for name in ("field", "albedo", "light_table", "light_amplitudes"):
+        for name in GRADS:
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
@@ -351,15 +353,22 @@ class TestEmptySpaceSkipping:
 
     @pytest.fixture
     def gathers(self, monkeypatch):
-        """Point counts (operator rows) of every ``_interp`` call."""
-        counts = []
+        """Point counts (operator rows) of every ``_interp`` call on the grid's field or
+        albedo: the product over a full-grid node gradient is left out."""
+        counts, nodes = [], []
         interp = _render_np._interp
 
         def recorded(values, op):
-            counts.append(op.shape[0])
+            if not any(values is g for g in nodes):
+                counts.append(op.shape[0])
             return interp(values, op)
 
+        def recorded_gradient(field, spacing):
+            nodes.append(node_gradient(field, spacing))
+            return nodes[-1]
+
         monkeypatch.setattr(_render_np, "_interp", recorded)
+        monkeypatch.setattr(_render_np, "node_gradient", recorded_gradient)
         return counts
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -419,10 +428,14 @@ class TestEmptySpaceSkipping:
         for name in FIELDS:
             assert getattr(dense, name).tobytes() == getattr(full, name).tobytes()
 
-    def test_forward_only_takes_no_full_grid_gradient(self, monkeypatch):
+    def test_forward_only_takes_no_full_grid_gradient(self, gathers, monkeypatch):
+        """The few occupied samples are below the size rule's crossover, so their normals
+        come from the corner stencil."""
         calls = []
-        monkeypatch.setattr(render_module, "node_gradient", lambda *args: calls.append(args))
-        render(hard_scene(16), camera(), light_table(), samples_per_ray=SAMPLES)
+        monkeypatch.setattr(_render_np, "node_gradient", lambda *args: calls.append(args))
+        grid = hard_scene(16)
+        render(grid, camera(), light_table(), samples_per_ray=SAMPLES)
+        assert gathers and _render_np._STENCIL_COST * 8 * max(gathers) < grid.field.size
         assert calls == []
 
 
@@ -572,35 +585,64 @@ class TestRayIntervals:
                         samples_per_ray=SAMPLES, background=BACKGROUND)
         TestNoRayHitsTheCube.assert_background(bundle)
 
-    def test_over_the_share_cap_matches_the_full_march(self, monkeypatch):
-        """A box that fills the cube places every stratum; its occupied samples are more
-        than ``_SKIP_MAX_SHARE`` of them, so all are gathered, with the full-grid gradient."""
-        n = 16
-        x = np.linspace(-0.5, 0.5, n)
-        r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
-        grid = SceneGrid("density", np.where(r < 0.55, 30.0, 0.0),
-                         np.random.default_rng(4).uniform(0.2, 0.8, (n, n, n, 3)))
-        calls = []
-        monkeypatch.setattr(render_module, "node_gradient",
-                            lambda *args: calls.append(args) or node_gradient(*args))
+    def test_box_filling_density_matches_the_full_march(self):
+        """A box that fills the cube places every stratum and gathers its occupied samples."""
+        grid = hard_scene(16, 0.55)
         kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND)
         skipped = render(grid, camera(), light_table(), **kwargs)
-        assert len(calls) == 1
         full, _ = render(grid, camera(), light_table(), want_cache=True, **kwargs)
         for name in FIELDS:
             assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes()
 
-    def test_gather_all_takes_the_gradient_before_placing(self, monkeypatch):
-        """A density without a zero node gathers every sample, which is known before any
-        sample is placed, so the full-grid gradient comes first."""
-        order = []
-        sample_points = _render_np._sample_points
-        monkeypatch.setattr(render_module, "node_gradient",
-                            lambda *args: order.append("node_gradient") or node_gradient(*args))
-        monkeypatch.setattr(_render_np, "_sample_points",
-                            lambda *args: order.append("place") or sample_points(*args))
-        render(scene("density"), camera(), light_table(), samples_per_ray=SAMPLES)
-        assert order == ["node_gradient", "place"]
+
+class TestNormalsRoute:
+    """Which of ``_interp_gradient``'s two routes the normals take shows in no output.
+
+    Each route is forced through ``_STENCIL_COST``: 0 takes the corner
+    stencil for every operator, n^3 the full-grid gradient for every
+    non-empty one.
+    """
+
+    @staticmethod
+    def both_routes(monkeypatch, grid, run):
+        outputs = []
+        for cost in (0.0, float(grid.field.size)):
+            calls = []
+            monkeypatch.setattr(_render_np, "_STENCIL_COST", cost)
+            monkeypatch.setattr(_render_np, "node_gradient",
+                                lambda *args: calls.append(args) or node_gradient(*args))
+            outputs.append([a.tobytes() for a in run()])
+            assert (len(calls) > 0) == (cost > 0.0)
+        assert outputs[0] == outputs[1]
+
+    def test_sdf_training_step(self, monkeypatch):
+        grid = scene("sdf")
+        light = light_table()
+        rng = np.random.default_rng(8)
+        g_rgb, g_mask, g_depth, g_illum = (
+            rng.standard_normal((PX, PX, 3)), rng.standard_normal((PX, PX)),
+            rng.standard_normal((PX, PX)), rng.standard_normal((PX, PX)))
+
+        def run():
+            bundle, cache, normals = render(grid, camera(), light, samples_per_ray=SAMPLES,
+                                            background=BACKGROUND, want_cache=True,
+                                            want_sample_normals=True)
+            grads = render_backward(cache, g_rgb, g_mask, np.where(bundle.valid, g_depth, 0.0),
+                                    g_illum)
+            return ([getattr(bundle, name) for name in FIELDS] + [normals]
+                    + [getattr(grads, name) for name in GRADS])
+
+        self.both_routes(monkeypatch, grid, run)
+
+    def test_box_filling_density_forward_only(self, monkeypatch):
+        grid = hard_scene(16, 0.55)
+
+        def run():
+            bundle = render(grid, camera(), light_table(), samples_per_ray=SAMPLES,
+                            background=BACKGROUND)
+            return [getattr(bundle, name) for name in FIELDS]
+
+        self.both_routes(monkeypatch, grid, run)
 
 
 class TestBoundedErrorMarch:
