@@ -10,6 +10,13 @@ from there, so a forward+backward step marches once.  No hit rays means
 zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
+A march is packed, like NerfAcc's samples: every per-sample array has one
+row per gathered sample, in ascending flat (ray, stratum) order
+(``_March.keep``), and ``_ray_sums`` adds each ray's terms in that order,
+which exact zeros do not change.  The only dense (rays, samples) step is
+the two scans, forward's transmittance product and backward's suffix sum,
+which place the packed rows (``_place``) and gather them back
+(``_gather``); both reshape when every sample is gathered.
 ``forward`` builds each sparse operator once per march: ``_trilinear``'s
 for the grid gathers (``_interp``) and ``_bilinear``'s for the light table
 (``table_lookup``); ``backward`` only scatters through their transposes.
@@ -28,10 +35,11 @@ the strata that may reach the interval are placed, each at the position a
 full placement gives it, and of those only the samples whose cell has a
 nonzero corner are gathered: field, albedo and normals, and the light.
 Every other sample would interpolate density 0, so its opacity and weight
-are exactly 0 and its albedo and light terms multiply 0; the composited
-buffers keep their bits.  Backward needs those samples, since their field
-gradient is not 0, so a kept density march places and gathers every
-sample.  So does a density without a zero node.
+are exactly 0, its albedo and light terms multiply 0, and its factor of
+the transmittance is 1 - 0 = 1; the composited buffers keep their bits.
+Backward needs those samples, since their field gradient is not 0, so a
+kept density march places and gathers every sample.  So does a density
+without a zero node.
 
 An SDF's density never reaches 0, so an SDF march, kept or not, drops the
 samples whose every contribution is provably below ``_EPS`` = eps instead,
@@ -82,6 +90,7 @@ gradient, which is how a fit grows density into empty space.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -269,8 +278,8 @@ def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
 
 
 def _sdf_samples(grid, pos, dt):
-    """Flat indices of the (rays, samples, 3) points ``pos`` of an SDF grid whose
-    opacity may reach ``_EPS``; None when that is all of them.
+    """Ascending flat indices of the (rays, samples, 3) points ``pos`` of an SDF grid whose
+    opacity may reach ``_EPS``.
 
     A point's density is at most alpha * exp(-s / beta) <= alpha * exp(-s_min / beta),
     s_min the smallest corner of its cell, and its opacity at most that times
@@ -280,8 +289,7 @@ def _sdf_samples(grid, pos, dt):
         log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
     limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
     s_min = _per_sample(_cell_min(grid.field), pos.reshape(-1, 3))
-    kept = s_min.reshape(pos.shape[:2]) <= limit[:, None]
-    return None if kept.all() else np.flatnonzero(kept)
+    return np.flatnonzero(s_min.reshape(pos.shape[:2]) <= limit[:, None])
 
 
 def _unit_normals(grid, gvec):
@@ -344,31 +352,39 @@ def _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata=Non
 
 
 class _March(NamedTuple):
-    """Per-sample state of the hit rays, shaped (rays, samples[, 3]), and its two operators.
+    """The gathered samples of the marched rays, one row each in ``keep`` order, and their
+    three operators; ``dt`` and ``t_final`` have one row per marched ray."""
 
-    A sample that was not gathered has density, opacity, weight, albedo and
-    light 0; ``op`` and ``lop`` have one row per gathered sample, in ``keep`` order.
-    """
-
+    n_samples: int  # strata per ray
+    dt: np.ndarray  # sample spacing
+    t_final: np.ndarray  # transmittance after the ray's last sample
+    keep: np.ndarray  # ascending flat (ray, stratum) indices of the gathered samples
+    op: object  # _trilinear rows
+    lop: object  # _bilinear rows
+    weights: object  # _ray_sums operator of the compositing weights
     t: np.ndarray  # distance along the ray
-    dt: np.ndarray  # (rays,) sample spacing
-    keep: object  # flat indices of the gathered samples, or None for all of them
-    op: object  # _trilinear rows of the gathered samples
-    lop: object  # _bilinear rows of the same samples
     dens: np.ndarray
     alb: np.ndarray
     a: np.ndarray  # opacity
-    trans: np.ndarray  # transmittance after the sample
     t_exc: np.ndarray  # transmittance before the sample
     w: np.ndarray  # compositing weight
     light: np.ndarray  # irradiance at the shading normal
 
 
 def _place(shape, idx, values, fill):
-    """An array of ``shape`` holding ``fill``, with ``values`` rows at flat positions ``idx``."""
+    """An array of ``shape`` holding ``fill``, with ``values`` rows at the ascending flat
+    positions ``idx``; ``values`` reshaped when ``idx`` is every position."""
+    if len(idx) == math.prod(shape):
+        return values.reshape(shape + values.shape[1:])
     out = np.full(shape + values.shape[1:], fill)
     out.reshape((-1,) + values.shape[1:])[idx] = values
     return out
+
+
+def _gather(dense, idx):
+    """The rows of a (rays, samples, ...) array at the ascending flat positions ``idx``."""
+    flat = dense.reshape((-1,) + dense.shape[2:])
+    return flat if len(idx) == len(flat) else flat[idx]
 
 
 def _place_rays(shape, idx, buffers, background):
@@ -379,15 +395,27 @@ def _place_rays(shape, idx, buffers, background):
                  for values, fill in zip(buffers, (background, 0.0, np.inf, 0.0, 0.0)))
 
 
+def _ray_sums(rows, n_rays, weights):
+    """The (n_rays, m) CSR matrix holding ``weights`` at (rows[i], i), ``rows`` ascending: its
+    product with per-sample values sums each ray's weighted values in sample order from 0."""
+    import scipy.sparse
+    indptr = np.searchsorted(rows, np.arange(n_rays + 1)).astype(np.int32)
+    cols = np.arange(len(rows), dtype=np.int32)
+    return scipy.sparse.csr_matrix((weights, cols, indptr), shape=(n_rays, len(rows)))
+
+
 def _sums(m):
-    """Per-ray weight sums of a march: mask, and depth and irradiance not yet divided by it."""
-    return m.w.sum(axis=1), (m.w * m.t).sum(axis=1), (m.w * m.light).sum(axis=1)
+    """Per-ray sums of a march: mask, and depth and irradiance not yet divided by it.  The
+    mask is 1 - T_final, which sum_j w_j telescopes to, and unlike that sum it stays in [0, 1]."""
+    return 1.0 - m.t_final, m.weights @ m.t, m.weights @ m.light
 
 
-def _transmittance(a):
-    """Transmittance after and before each sample of (rays, samples) opacities."""
-    trans = np.cumprod(1.0 - a, axis=1)
-    return trans, np.concatenate([np.ones((a.shape[0], 1)), trans[:, :-1]], axis=1)
+def _transmittance(a, keep, shape):
+    """Transmittance before each opacity ``a`` at flat positions ``keep`` of (rays, samples),
+    and after each ray's last sample; a sample not gathered multiplies by 1 - 0 = 1."""
+    trans = np.cumprod(_place(shape, keep, 1.0 - a, 1.0), axis=1)
+    t_exc = np.concatenate([np.ones((shape[0], 1)), trans[:, :-1]], axis=1)
+    return _gather(t_exc, keep), trans[:, -1]
 
 
 def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, jitter_seed,
@@ -395,88 +423,70 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     """March the hit rays once and composite them into per-ray buffers.
 
     ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
-    hit rays only.  ``normals`` are their frozen (rays, samples, 3) shading
-    normals, or None to take them from the field gradient at the gathered
-    samples (``_interp_gradient``).  An SDF grid gathers only the samples
-    that pass the cell test and lie before the opaque cut.  Unless the caller
-    keeps the march (``keep_march``), a density grid marches only the rays
-    that meet the box of its occupied cells, places only their strata that
-    may reach it, and gathers only the samples of occupied cells (module
-    docstring).
+    hit rays only.  ``normals`` are the whole image's frozen (height, width,
+    samples, 3) shading normals, or None to take them from the field gradient
+    at the gathered samples (``_interp_gradient``).  An SDF grid gathers only
+    the samples that pass the cell test and lie before the opaque cut.
+    Unless the caller keeps the march (``keep_march``), a density grid
+    marches only the rays that meet the box of its occupied cells, places
+    only their strata that may reach it, and gathers only the samples of
+    occupied cells (module docstring).
 
-    Returns (march, normals, rgb, mask, depth, normal, illum).  With
+    Returns (march, normals, pix, rgb, mask, depth, normal, illum).  With
     ``keep_march`` the march holds what ``backward`` reads and normals are
-    the (rays, samples, 3) shading normals (the frozen ones as given, else
-    the field's, 0 at the samples not gathered); without it both are None.
-    Each buffer has one row per hit ray: depth and illum are divided by the
-    mask where it reaches ``ImageBundle.VALID_MASK``, depth is +inf and
-    illum and normal 0 elsewhere, and normal is the unit field gradient at
-    the expected depth.
+    the shading normals of its gathered samples, one row each; without it
+    both are None.  ``pix`` are the pixels of the marched rays, ascending,
+    and each buffer has one row per marched ray: depth and illum are divided
+    by the mask where it reaches ``ImageBundle.VALID_MASK``, depth is +inf
+    and illum and normal 0 elsewhere, and normal is the unit field gradient
+    at the expected depth.  A hit ray that is not marched is a miss.
     """
     sdf = grid.kind == "sdf"
-    n_hit = len(pix)
     dt = (t1 - t0) / n_samples
     cells = None if sdf or keep_march else _occupied_cells(grid.field != 0.0)
-    rays = strata = None
+    strata = None
     if cells is not None:
         # Only the rays that meet the occupied box are marched, on the strata that may reach it.
         occ, lo, hi = cells
         rays, strata = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
         dirs, t0, pix, dt = dirs[rays], t0[rays], pix[rays], dt[rays]
-        if normals is not None:
-            normals = normals[rays]
     shape = (len(pix), n_samples)
     t, pos = _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata)
     if strata is None:
-        keep = _sdf_samples(grid, pos, dt) if sdf else None
-        pos = pos.reshape(-1, 3)
-        if keep is not None:
-            pos = pos[keep]
+        keep = _sdf_samples(grid, pos, dt) if sdf else np.arange(t.size)
+        t, pos = _gather(t, keep), _gather(pos, keep)
     else:
         occupied = np.flatnonzero(_per_sample(occ, pos))
         keep = (strata[0] * n_samples + strata[1])[occupied]
-        pos = pos[occupied]
-        t = _place(shape, keep, t[occupied], 0.0)
-
-    # Both read ``keep`` when called, so they follow the opaque cut below.
-    def pick(rows):
-        return rows if keep is None else rows[keep]
-
-    def full(rows):
-        if keep is None:
-            return rows.reshape(shape + rows.shape[1:])
-        return _place(shape, keep, rows, 0.0)
+        t, pos = t[occupied], pos[occupied]
+    rows = keep // n_samples
 
     op = _trilinear(pos, grid.resolution)
     del pos
     f = _interp(grid.field, op)
-    dens = full(sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if sdf else f)
-    a = -np.expm1(-dens * dt[:, None])
-    trans, t_exc = _transmittance(a)
+    dens = sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if sdf else f
+    a = -np.expm1(-dens * dt[rows])
+    t_exc, t_final = _transmittance(a, keep, shape)
     if sdf:
-        # A suffix of each ray: at opacity 0 its transmittance stays below eps, so
-        # forward and backward describe the same truncated march.
-        opaque = t_exc < _EPS
-        if opaque.any():
-            gathered = ~pick(opaque.reshape(-1))
-            keep = np.flatnonzero(~opaque) if keep is None else keep[gathered]
-            op = op[gathered]
-            dens[opaque] = 0.0
-            a[opaque] = 0.0
-            trans, t_exc = _transmittance(a)
-    alb = full(_interp(grid.albedo, op))
+        # The opaque cut drops a suffix of each ray, whose transmittance stays below eps
+        # without it, so forward and backward describe the same truncated march.
+        lit = t_exc >= _EPS
+        if not lit.all():
+            keep, rows, op, t, dens, a = keep[lit], rows[lit], op[lit], t[lit], dens[lit], a[lit]
+            t_exc, t_final = _transmittance(a, keep, shape)
+    alb = _interp(grid.albedo, op)
     if normals is None:
-        shading = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))
-        normals = full(shading)
+        normals = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))
     else:
-        shading = pick(normals.reshape(-1, 3))
-    lop = _bilinear(ltable.shape, shading)
-    light = full(table_lookup(ltable, lop))
+        normals = normals.reshape(-1, 3)[pix[rows] * n_samples + keep % n_samples]
+    lop = _bilinear(ltable.shape, normals)
+    light = table_lookup(ltable, lop)
     w = t_exc * a
-    m = _March(t, dt, keep, op, lop, dens, alb, a, trans, t_exc, w, light)
+    weights = _ray_sums(rows, shape[0], w)
+    m = _March(n_samples, dt, t_final, keep, op, lop, weights, t, dens, alb, a, t_exc, w, light)
 
-    rgb = np.einsum("rs,rsc->rc", w * light, alb)
-    rgb += trans[:, -1:] * background[None, :]
+    rgb = _ray_sums(rows, shape[0], w * light) @ alb
+    rgb += t_final[:, None] * background[None, :]
     mask, depth_acc, illum_acc = _sums(m)
     # Masked assignment, not np.where, which would divide by the zero masks too.
     valid = mask >= ImageBundle.VALID_MASK
@@ -488,10 +498,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     surface = origin[None, :] + depth[valid, None] * dirs[valid]
     gvec = _interp_gradient(grid.field, grid.spacing, _trilinear(surface, grid.resolution))
     normal[valid] = _unit_normals(grid, gvec)
-    buffers = rgb, mask, depth, normal, illum
-    if rays is not None:
-        buffers = _place_rays((n_hit,), rays, buffers, background)
-    return ((m, normals) if keep_march else (None, None)) + tuple(buffers)
+    return ((m, normals) if keep_march else (None, None)) + (pix, rgb, mask, depth, normal, illum)
 
 
 def backward(cache, g_rgb, g_mask, g_depth, g_illum):
@@ -512,6 +519,7 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     grid = cache.grid
     ridx = cache.ridx
     m = cache.march
+    rows = m.keep // m.n_samples
 
     grgb = g_rgb.reshape(-1, 3)[ridx]
     g_mask, g_depth, g_illum = (g.ravel()[ridx] for g in (g_mask, g_depth, g_illum))
@@ -525,34 +533,25 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     )
     bgdot = grgb @ cache.background
 
-    # Every term is taken at the gathered samples only, of the rays ``rows``; the others
-    # have weight 0, and reach the gradients only through the suffix sums.
-    n_rays, n_samples = m.a.shape
-    keep = np.arange(n_rays * n_samples) if m.keep is None else m.keep
-    rows = keep // n_samples
-
-    def pick(values):
-        return values.reshape((-1,) + values.shape[2:])[keep]
-
+    # Every term is taken at the gathered samples only; the others have weight 0.
     grgb = grgb[rows]
-    light, w = pick(m.light), pick(m.w)
-    grgb_dot_alb = np.einsum("rc,rc->r", grgb, pick(m.alb))
-    g_per_w = grgb_dot_alb * light + gwc[rows] + gwt[rows] * pick(m.t) + gwl[rows] * light
-    # Suffix sums: S_k = sum_{j>k} G_j w_j + bgdot * T_final.
-    gw = _place(m.a.shape, keep, g_per_w * w, 0.0)
-    suffix = np.cumsum(gw[:, ::-1], axis=1)[:, ::-1]
-    suffix = np.concatenate([suffix[:, 1:], np.zeros((n_rays, 1))], axis=1)
-    suffix += (bgdot * m.trans[:, -1])[:, None]
-    d_dens = m.dt[rows] * ((1.0 - pick(m.a)) * g_per_w * pick(m.t_exc) - pick(suffix))
-    del gw, suffix, g_per_w
+    grgb_dot_alb = np.einsum("rc,rc->r", grgb, m.alb)
+    g_per_w = grgb_dot_alb * m.light + gwc[rows] + gwt[rows] * m.t + gwl[rows] * m.light
+    # Suffix sums: S_k = sum_{j>k} G_j w_j + bgdot * T_final, over the dense rows.
+    shape = (len(ridx), m.n_samples)
+    suffix = np.cumsum(_place(shape, m.keep, g_per_w * m.w, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.concatenate([suffix[:, 1:], np.zeros((shape[0], 1))], axis=1)
+    suffix = _gather(suffix, m.keep) + (bgdot * m.t_final)[rows]
+    d_dens = m.dt[rows] * ((1.0 - m.a) * g_per_w * m.t_exc - suffix)
+    del suffix, g_per_w
     if grid.kind == "sdf":
-        sig = pick(m.dens) / grid.sdf_alpha
+        sig = m.dens / grid.sdf_alpha
         d_dens = d_dens * (-(grid.sdf_alpha / grid.sdf_beta) * sig * (1.0 - sig))
 
     g_field = (m.op.T @ d_dens).reshape(grid.field.shape)
-    g_alb_samples = (w * light)[:, None] * grgb
+    g_alb_samples = (m.w * m.light)[:, None] * grgb
     g_albedo = (m.op.T @ g_alb_samples).reshape(grid.albedo.shape)
     del g_alb_samples
-    g_light_samples = w * (grgb_dot_alb + gwl[rows])
+    g_light_samples = m.w * (grgb_dot_alb + gwl[rows])
     g_table = table_scatter(cache.light.values.shape, m.lop, g_light_samples)
     return g_field, g_albedo, g_table

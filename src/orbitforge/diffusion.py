@@ -334,8 +334,8 @@ def make_sigma_schedule(sigma_max=80.0, sigma_min=0.002, n_steps=50, rho=7.0):
     """
     if not (sigma_max > sigma_min > 0.0):
         raise ValueError("need sigma_max > sigma_min > 0")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError("n_steps must be an integer >= 1")
     if rho <= 0.0:
         raise ValueError("rho must be > 0")
     if n_steps == 1:

@@ -135,8 +135,8 @@ def _circular_smooth(values, half_width):
 
 def static_orbit(k, elevation_deg, start_azimuth_deg=0.0):
     """Regularly spaced azimuths at a fixed elevation."""
-    if k < 2:
-        raise ValueError("orbit needs at least 2 frames")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError("orbit needs an integer k >= 2 frames")
     if abs(elevation_deg) > _MAX_ELEVATION_DEG:
         raise ValueError(f"|elevation| must be <= {_MAX_ELEVATION_DEG}")
     poses = tuple(
@@ -154,8 +154,8 @@ def dynamic_orbit(rng, k, cond_pose, params=DynamicOrbitParams()):
     clamped to +/-89 degrees.  Azimuth noise is zeroed at frame 0 and
     clipped so the frame ordering survives.
     """
-    if k < 2:
-        raise ValueError("orbit needs at least 2 frames")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError("orbit needs an integer k >= 2 frames")
     cond_e = float(cond_pose.elevation_deg)
     if abs(cond_e) > params.max_elevation_deg:
         raise ValueError("conditioning elevation exceeds the clamp limit")
@@ -184,8 +184,8 @@ def dynamic_orbit(rng, k, cond_pose, params=DynamicOrbitParams()):
 
 def sine_elevation_orbit(k, cond_pose, amplitude_deg):
     """One sine period of elevation so top and bottom views are covered."""
-    if k < 2:
-        raise ValueError("orbit needs at least 2 frames")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError("orbit needs an integer k >= 2 frames")
     cond_e = float(cond_pose.elevation_deg)
     if abs(cond_e) + amplitude_deg > _MAX_ELEVATION_DEG:
         raise ValueError("conditioning elevation plus amplitude exceeds 89 degrees")
@@ -201,8 +201,8 @@ def pose_embedding(angle_deg, dim, base_freq=1.0):
     With an integer base frequency the embedding is exactly 360-degree
     periodic.
     """
-    if dim <= 0 or dim % 2 != 0:
-        raise ValueError("embedding dimension must be even and positive")
+    if not isinstance(dim, (int, np.integer)) or dim <= 0 or dim % 2 != 0:
+        raise ValueError("embedding dim must be an even positive integer")
     theta = math.radians(angle_deg)
     freqs = base_freq * (2.0 ** np.arange(dim // 2))
     out = np.empty(dim)
@@ -297,8 +297,8 @@ def subsample_orbit(full_orbit, start_index):
     """Every 4th frame of an 84-frame orbit: a 21-frame orbit."""
     if len(full_orbit) != 84:
         raise ValueError("subsampling expects an 84-frame orbit")
-    if not 0 <= start_index < 84:
-        raise ValueError("start index out of range")
+    if not isinstance(start_index, (int, np.integer)) or not 0 <= start_index < 84:
+        raise ValueError("start_index must be an integer in [0, 84)")
     idx = [(start_index + 4 * j) % 84 for j in range(21)]
     return Orbit(tuple(full_orbit.poses[i] for i in idx))
 

@@ -15,10 +15,10 @@ adjoint a single basis contraction.  The lookup is one sparse operator
 per march and the table's gradient scatter is its transpose, as the
 trilinear field and albedo gather and scatter are.
 
-This module is the pixel layer: it maps pixels to hit rays and places the
-per-ray buffers of the NumPy kernel ``_render_np``, which makes every
-decision about a ray.  The forward pass marches once and
-``render_backward`` reads that march from the ``RenderCache``.
+This module is the pixel layer: it maps pixels to hit rays and places,
+once, the per-ray buffers and packed sample normals of the NumPy kernel
+``_render_np``, which makes every decision about a ray.  The forward pass
+marches once and ``render_backward`` reads that march from the ``RenderCache``.
 """
 
 from __future__ import annotations
@@ -117,12 +117,12 @@ def intersect_unit_cube(origin, dirs):
 class RenderCache:
     """What ``render_backward`` reads: the inputs it differentiates and the forward march.
 
-    ``march`` holds the per-sample tensors of the hit rays, whose flat pixel
-    indices into the (height, width) image ``shape`` are ``ridx``, and the
-    trilinear and bilinear operators of the samples the kernel gathered, all
-    of them for a density grid and the ones not provably negligible for an
-    SDF grid, whose transposes ``render_backward`` scatters through.  It
-    holds no shading normals, which the backward pass treats as constants.
+    ``march`` holds the samples the kernel gathered on the marched rays, whose
+    flat pixel indices into the (height, width) image ``shape`` are ``ridx``:
+    all of them for a density grid and the ones not provably negligible for
+    an SDF grid, one row each, with their trilinear and bilinear operators,
+    whose transposes ``render_backward`` scatters through.  It holds no
+    shading normals, which the backward pass treats as constants.
     """
 
     grid: SceneGrid
@@ -162,10 +162,10 @@ def render(
     (height, width, samples_per_ray, 3) shading normals, which realizes the
     stop-gradient semantics for finite-difference checks.  With
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
-    normals of the march are returned too: ``normals_override`` as given, or
-    else the field's, zero at the samples the march did not gather.  Either
-    of the two keeps the march, which makes a density grid's march place and
-    gather every sample; without them a density render marches only the rays
+    normals of the march are returned too, ``normals_override``'s or else the
+    field's, zero at the samples the march did not gather.  Either of the two
+    keeps the march, which makes a density grid's march place and gather
+    every sample; without them a density render marches only the rays
     that meet the box of its occupied cells, on the strata that may reach it,
     gathers only the samples of occupied cells, and renders the other rays as
     misses, with the same bits.  An SDF grid's march, kept or not, drops the
@@ -193,23 +193,21 @@ def render(
         if not np.all(np.isfinite(normals_override)):
             raise ValueError("normals_override must be finite")
     ridx = np.flatnonzero(hit)
-    frozen = (
-        None if normals_override is None
-        else normals_override.reshape(-1, samples_per_ray, 3)[ridx]
-    )
-    march, sample_normals, *rays = _render_np.forward(
+    march, sample_normals, pix, *rays = _render_np.forward(
         grid, light.values, background,
         origin=origin, dirs=dirs.reshape(-1, 3)[ridx], t0=t0.ravel()[ridx], t1=t1.ravel()[ridx],
-        pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=frozen,
+        pix=ridx, n_samples=samples_per_ray, jitter_seed=jitter_seed, normals=normals_override,
         keep_march=want_cache or want_sample_normals,
     )
-    rgb, mask, depth, normal, illum = _render_np._place_rays(hit.shape, ridx, rays, background)
+    rgb, mask, depth, normal, illum = _render_np._place_rays(hit.shape, pix, rays, background)
     bundle = ImageBundle(rgb=rgb, depth=depth, mask=mask, normal=normal, illum=illum)
     out = [bundle]
     if want_cache:
-        out.append(RenderCache(grid, light, background, hit.shape, ridx, march))
+        out.append(RenderCache(grid, light, background, hit.shape, pix, march))
     if want_sample_normals:
-        out.append(_render_np._place(hit.shape, ridx, sample_normals, 0.0))
+        rows, j = np.divmod(march.keep, samples_per_ray)
+        out.append(_render_np._place(sample_shape[:-1], pix[rows] * samples_per_ray + j,
+                                     sample_normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
 
 

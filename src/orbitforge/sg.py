@@ -245,6 +245,8 @@ def mc_sphere_integral(f, n_samples, rng):
 
 def fibonacci_sphere(n):
     """n near-uniform directions from the golden-angle spiral."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError("n must be a non-negative integer")
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

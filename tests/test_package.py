@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitforge
+from orbitforge import diffusion, orbits, sg
 
 MODULES = sorted(
     f"orbitforge.{m.name}" for m in pkgutil.iter_modules(orbitforge.__path__)
@@ -53,3 +55,27 @@ def test_import_loads_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: orbits.sine_elevation_orbit(2.5, orbits.CameraPose(0.0, 0.0), 10.0),
+         "integer k"),
+        (lambda: orbits.static_orbit(2.5, 10.0), "integer k"),
+        (lambda: orbits.dynamic_orbit(np.random.default_rng(0), 2.5,
+                                      orbits.CameraPose(0.0, 0.0)), "integer k"),
+        (lambda: orbits.pose_embedding(10.0, dim=4.0), "dim must be"),
+        (lambda: orbits.subsample_orbit(orbits.static_orbit(84, 10.0),
+                                        start_index=2.5), "start_index"),
+        (lambda: sg.default_envmap(n_lobes=2.5), "non-negative integer"),
+        (lambda: sg.fibonacci_sphere(np.float64(3.0)), "non-negative integer"),
+        (lambda: diffusion.make_sigma_schedule(n_steps=2.5), "n_steps"),
+    ],
+    ids=["sine-elevation-k", "static-k", "dynamic-k", "embedding-dim", "subsample-start",
+         "default-envmap-lobes", "fibonacci-n", "sigma-schedule-steps"],
+)
+def test_non_integer_counts_are_rejected(call, match):
+    """A count that is not an integer raises a ValueError naming it, in every module."""
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -81,7 +81,7 @@ class TestBackwardMatchesCentralDifferences:
             want_cache=True, want_sample_normals=True,
         )
         if request.param == "sharp-sdf":  # the gradient is the truncated march's
-            assert cache.march.op.shape[0] < cache.march.a.size
+            assert cache.march.op.shape[0] < cache.march.dt.size * SAMPLES
         rng = np.random.default_rng(11)
         shape = (PX, PX)
         valid = bundle.valid
@@ -175,18 +175,29 @@ class TestInvariants:
         np.testing.assert_array_equal(bundle.normal, 0.0)
 
     @given(
-        density=st.floats(0.0, 500.0),
+        kind=st.sampled_from(["density", "sdf"]),
+        density=st.floats(0.0, 1e3),
         seed=st.integers(0, 2**31 - 1),
         elevation=st.floats(-80.0, 80.0),
         azimuth=st.floats(0.0, 359.0),
     )
-    @settings(max_examples=15, deadline=None)
+    # A per-ray sum of the weights reads one ulp above 1 here.
+    @example(kind="density", density=111.0, seed=103, elevation=13.139936535238078,
+             azimuth=63.31847339122546)
+    @example(kind="sdf", density=1e3, seed=25, elevation=-54.056808228385606,
+             azimuth=92.52455414257417)
+    @settings(max_examples=30, deadline=None)
     def test_mask_in_unit_interval_and_misses_keep_background(
-        self, density, seed, elevation, azimuth
+        self, kind, density, seed, elevation, azimuth
     ):
+        """The density, or an SDF's interior density alpha, scales a random 4^3 field."""
         rng = np.random.default_rng(seed)
-        grid = SceneGrid("density", density * rng.uniform(0.0, 1.0, (4, 4, 4)),
-                         rng.uniform(0.0, 1.0, (4, 4, 4, 3)))
+        albedo = rng.uniform(0.0, 1.0, (4, 4, 4, 3))
+        if kind == "sdf":
+            grid = SceneGrid("sdf", rng.uniform(-0.5, 0.5, (4, 4, 4)), albedo,
+                             sdf_alpha=1.0 + density, sdf_beta=0.01)
+        else:
+            grid = SceneGrid("density", density * rng.uniform(0.0, 1.0, (4, 4, 4)), albedo)
         # A wide field of view leaves the corner rays outside the cube.
         cam = camera(px=8, elevation=elevation, azimuth=azimuth, fov=90.0)
         bundle = render(grid, cam, light_table(), samples_per_ray=8, background=BACKGROUND,
@@ -346,6 +357,80 @@ class TestForwardMarchIsReused:
         second = render_backward(cache, *upstream)
         for name in GRADS:
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+
+class TestPackedMarch:
+    """A kept march holds one row per gathered sample, in ascending flat (ray, stratum)
+    order, in every per-sample field."""
+
+    PER_RAY = ("n_samples", "dt", "t_final", "weights")
+
+    @staticmethod
+    def inside_camera():
+        """A camera inside the cube: every ray hits it and a density march gathers every
+        sample, so ``_place`` and ``_gather`` take their identity path."""
+        return Camera(CameraPose(10.0, 180.0), 0.3, width=PX, height=PX, fov_deg=90.0)
+
+    @pytest.mark.parametrize("kind", ["density", "sdf", "sharp-sdf"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+    def test_one_row_per_gathered_sample(self, kind, inside):
+        cam = self.inside_camera() if inside else camera()
+        _, cache = render(scene(kind), cam, light_table(), samples_per_ray=SAMPLES,
+                          want_cache=True)
+        m = cache.march
+        assert m.n_samples == SAMPLES
+        assert m.dt.shape == m.t_final.shape == cache.ridx.shape
+        assert m.weights.shape == (cache.ridx.size, m.op.shape[0])
+        rows = m.op.shape[0]
+        for name in set(m._fields) - set(self.PER_RAY):
+            assert getattr(m, name).shape[0] == rows, name
+        assert np.all(np.diff(m.keep) > 0)
+        assert np.all((m.keep >= 0) & (m.keep < cache.ridx.size * SAMPLES))
+
+    def test_sample_normals_of_an_override_are_its_gathered_rows(self):
+        """With ``normals_override``, the returned sample normals are its rows at the gathered
+        samples and 0 at every other sample."""
+        normals = np.random.default_rng(12).standard_normal((PX, PX, SAMPLES, 3))
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        _, cache, got = render(scene("sharp-sdf"), camera(), light_table(),
+                               samples_per_ray=SAMPLES, normals_override=normals,
+                               want_cache=True, want_sample_normals=True)
+        rows, j = np.divmod(cache.march.keep, SAMPLES)
+        gathered = np.zeros(normals.shape[:3], dtype=bool)
+        gathered.reshape(-1)[cache.ridx[rows] * SAMPLES + j] = True
+        assert 0 < gathered.sum() < gathered.size
+        np.testing.assert_array_equal(got[gathered], normals[gathered])
+        np.testing.assert_array_equal(got[~gathered], 0.0)
+
+    def test_identity_path_matches_the_scatter(self, monkeypatch):
+        """Forcing the scatter and the indexed gather where every sample is gathered changes
+        no byte of a training step."""
+        grid = scene("density")
+        rng = np.random.default_rng(9)
+        upstream = (rng.standard_normal((PX, PX, 3)), rng.standard_normal((PX, PX)),
+                    rng.standard_normal((PX, PX)), rng.standard_normal((PX, PX)))
+
+        def run():
+            bundle, cache, normals = render(grid, self.inside_camera(), light_table(),
+                                            samples_per_ray=SAMPLES, background=BACKGROUND,
+                                            want_cache=True, want_sample_normals=True)
+            assert cache.march.keep.size == bundle.mask.size * SAMPLES
+            grads = render_backward(cache, upstream[0], upstream[1],
+                                    np.where(bundle.valid, upstream[2], 0.0), upstream[3])
+            return ([getattr(bundle, name).tobytes() for name in FIELDS] + [normals.tobytes()]
+                    + [getattr(grads, name).tobytes() for name in GRADS])
+
+        reshaped = run()
+
+        def scatter(shape, idx, values, fill):
+            out = np.full(shape + values.shape[1:], fill)
+            out.reshape((-1,) + values.shape[1:])[idx] = values
+            return out
+
+        monkeypatch.setattr(_render_np, "_place", scatter)
+        monkeypatch.setattr(_render_np, "_gather",
+                            lambda dense, idx: dense.reshape((-1,) + dense.shape[2:])[idx])
+        assert run() == reshaped
 
 
 class TestEmptySpaceSkipping:
@@ -680,8 +765,15 @@ class TestBoundedErrorMarch:
         # What was dropped had opacity or transmittance below eps.
         dropped = np.ones(n_rays * SAMPLES, dtype=bool)
         dropped[cache.march.keep] = False
-        negligible = (ref_cache.march.a < eps) | (cache.march.t_exc < eps)
-        assert np.all(negligible.ravel()[dropped])
+        # The reference gathers every sample, so its packed opacities are the dense ones;
+        # the sparse march's transmittance before each sample is rebuilt from its packed
+        # opacities, 0 where not gathered.
+        a = np.zeros(n_rays * SAMPLES)
+        a[cache.march.keep] = cache.march.a
+        trans = np.cumprod(1.0 - a.reshape(n_rays, SAMPLES), axis=1)
+        t_exc = np.concatenate([np.ones((n_rays, 1)), trans[:, :-1]], axis=1).ravel()
+        negligible = (ref_cache.march.a < eps) | (t_exc < eps)
+        assert np.all(negligible[dropped])
         np.testing.assert_array_equal(out.valid, ref.valid)
         miss = ~intersect_unit_cube(*camera_rays(cam))[2]
         for name in FIELDS:
