@@ -469,11 +469,15 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     t_exc, t_final = _transmittance(a, keep, shape)
     if sdf:
         # The opaque cut drops a suffix of each ray, whose transmittance stays below eps
-        # without it, so forward and backward describe the same truncated march.
+        # without it, so forward and backward describe the same truncated march.  The kept
+        # T_exc stand, and a cut ray's T_final is the T_exc of its first cut sample.
         lit = t_exc >= _EPS
         if not lit.all():
+            cut = np.flatnonzero(~lit)
+            first = cut[np.r_[True, rows[cut[1:]] != rows[cut[:-1]]]]
+            t_final[rows[first]] = t_exc[first]
             keep, rows, op, t, dens, a = keep[lit], rows[lit], op[lit], t[lit], dens[lit], a[lit]
-            t_exc, t_final = _transmittance(a, keep, shape)
+            t_exc = t_exc[lit]
     alb = _interp(grid.albedo, op)
     if normals is None:
         normals = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))

@@ -118,12 +118,6 @@ def sg_eval(g, x):
     return g.amplitude * np.exp(g.sharpness * (x @ g.axis - 1.0))
 
 
-def _ratio_one_minus_exp(d):
-    """(1 - exp(-2 d)) / d, with the analytic limit 2 at d = 0."""
-    d = np.maximum(d, 1e-300)
-    return -np.expm1(-2.0 * d) / d
-
-
 def sg_inner_product(g1, g2):
     """Closed-form integral over the sphere of the product of two lobes.
 
@@ -132,11 +126,11 @@ def sg_inner_product(g1, g2):
     singularity at exactly opposed equal-sharpness lobes is evaluated via
     its analytic limit.
     """
-    d_m = float(np.linalg.norm(g1.sharpness * g1.axis + g2.sharpness * g2.axis))
+    d_m = max(float(np.linalg.norm(g1.sharpness * g1.axis + g2.sharpness * g2.axis)), 1e-300)
     # Grouping the amplitude product keeps the operation exactly symmetric.
     scale = 2.0 * np.pi * (g1.amplitude * g2.amplitude)
     return float(
-        scale * math.exp(d_m - (g1.sharpness + g2.sharpness)) * _ratio_one_minus_exp(d_m)
+        scale * math.exp(d_m - (g1.sharpness + g2.sharpness)) * (-np.expm1(-2.0 * d_m) / d_m)
     )
 
 
@@ -152,33 +146,42 @@ def irradiance_many(envmap, normals):
     return irradiance_basis(envmap, normals) @ envmap.amplitudes
 
 
-def _lobe_columns(axes, sharp, normals):
-    """Unit-amplitude irradiance basis (m, n_lobes) at unit normals, and d_m.
+def _lobe_columns(axes, sharp, normals, ws):
+    """Unit-amplitude irradiance basis at (3, m) unit normals, one row per lobe.
 
-    d_m = ||s mu + s_c n|| comes from mu . n as (s - s_c)^2 + 2 s s_c (1 + mu . n).
+    Fills ``ws`` = (d, q, cols, scratch), lobe-major (n_lobes, m), by ``out=`` ufuncs in the
+    per-element order the tests hold bit for bit, and returns cols: d = ||s mu + s_c n|| from
+    (s - s_c)^2 + 2 s s_c (1 + mu . n), q = -expm1(-2 d), cols = 2 A_c e^(d - s - s_c) q / d.
     """
+    d, q, cols, scratch = ws
     s_c = COSINE_LOBE_SHARPNESS
-    # Not normals @ axes.T: with the second of 2 cores busy, that threaded BLAS
+    # Not axes @ normals: with the second of 2 cores busy, that threaded BLAS
     # gemm took 4 ms instead of 0.15 ms at 8192 x 24; gemv did not slow.
-    d = normals[:, :1] * axes[:, 0]
-    d += normals[:, 1:2] * axes[:, 1]
-    d += normals[:, 2:] * axes[:, 2]
+    np.multiply(axes[:, :1], normals[0], out=d)
+    d += np.multiply(axes[:, 1:2], normals[1], out=scratch)
+    d += np.multiply(axes[:, 2:], normals[2], out=scratch)
     d += 1.0
-    d *= 2.0 * s_c * sharp
-    d += (sharp - s_c) ** 2
-    # Rounding can take 1 + cos a few ulps below zero for opposed axes.
-    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-    cols = 2.0 * COSINE_LOBE_AMPLITUDE * np.exp(d - (sharp + s_c)) * _ratio_one_minus_exp(d)
-    return cols, d
+    d *= (2.0 * s_c * sharp)[:, None]
+    d += ((sharp - s_c) ** 2)[:, None]
+    # Rounding takes d^2 below 0 for opposed axes; the floor keeps q / d at its limit 2.
+    np.sqrt(np.maximum(d, np.finfo(np.float64).tiny, out=d), out=d)
+    np.exp(np.subtract(d, (sharp + s_c)[:, None], out=cols), out=cols)
+    cols *= 2.0 * COSINE_LOBE_AMPLITUDE
+    np.negative(np.expm1(np.multiply(d, -2.0, out=q), out=q), out=q)
+    cols *= np.divide(q, d, out=scratch)
+    return cols
 
 
-def _log_col_slope_over_d(d):
-    """(coth d - 1/d) / d, as d col / d d = col (coth d - 1/d); below d = 4e-3 the
-    series 1/3 - d^2/45 replaces the cancelling difference (both within 2e-12)."""
-    small = d < 4e-3
-    big = np.where(small, 1.0, d)
-    exact = (1.0 / np.tanh(big) - 1.0 / big) / big
-    return np.where(small, 1.0 / 3.0 - d * d / 45.0, exact)
+def _log_slope_over_d(ws, out):
+    """(coth d - 1/d) / d = (2/q - 1 - 1/d) / d into ``out`` for a ``_lobe_columns`` workspace;
+    below d = 4e-3 the series 1/3 - d^2/45 replaces that cancelling difference (within 4e-11)."""
+    d, q, _, scratch = ws
+    np.subtract(np.divide(2.0, q, out=out), 1.0, out=out)
+    out -= np.divide(1.0, d, out=scratch)
+    out /= d
+    for j in np.flatnonzero(d.min(axis=1) < 4e-3):
+        out[j] = np.where(d[j] < 4e-3, 1.0 / 3.0 - d[j] * d[j] / 45.0, out[j])
+    return out
 
 
 def irradiance_basis(envmap, normals):
@@ -189,7 +192,9 @@ def irradiance_basis(envmap, normals):
     lobe products of nonnegative lobes are already nonnegative.
     """
     normals = np.asarray(normals, dtype=np.float64)
-    return _lobe_columns(envmap.axes, envmap.sharpnesses, normals)[0]
+    # Four arrays, not one block, which would raise glibc's mmap threshold past later arrays.
+    ws = [np.empty((len(envmap), len(normals))) for _ in range(4)]
+    return np.ascontiguousarray(_lobe_columns(envmap.axes, envmap.sharpnesses, normals.T, ws).T)
 
 
 def shade(albedo, light):
@@ -280,21 +285,23 @@ def _shading_loss(light, albedo, target):
     return float(np.mean(resid * resid))
 
 
-def _fit_gradients(axes, sharp, amps, normals, albedo, target, cols, d):
-    """Loss gradients in amplitude, axis and log-sharpness from ``_lobe_columns``.
+def _fit_gradients(axes, sharp, amps, normals, albedo, target, light, ws, w):
+    """Loss gradients in amplitude, axis and log-sharpness at irradiance ``light``, from the
+    point's ``_lobe_columns`` workspace ``ws`` over the (3, m) ``normals``.
 
-    With r = dL/dlight and w_ij = a_j r_i (dcol_ij/dd) / d_ij, the gradient in
-    v_j = s_j mu_j is g_j = s_j mu_j sum_i w_ij + s_c (w^T N)_j.  The axis gradient
-    s_j g_j is projected onto the tangent plane, as each step renormalizes the
-    axis; the log-sharpness one is s_j (mu_j . g_j - a_j (cols^T r)_j).
-    """
-    resid = albedo * (cols @ amps)[:, None] - target
+    With r = dL/dlight and w_ji = a_j r_i (dcol_ji/dd) / d_ji, written into ``w``, the gradient
+    in v_j = s_j mu_j is g_j = s_j mu_j sum_i w_ji + s_c (w N)_j.  The axis gradient s_j g_j is
+    projected onto the tangent plane, as each step renormalizes the axis; the log-sharpness
+    one is s_j (mu_j . g_j - a_j (cols r)_j)."""
+    resid = albedo * light[:, None] - target
     r = (2.0 / resid.size) * np.sum(albedo * resid, axis=1)
-    g_amp = cols.T @ r
-    w = cols * _log_col_slope_over_d(d) * r[:, None] * amps
-    # w^T N as matrix-vector products, not a gemm: see _lobe_columns.
-    w_n = np.stack([normals[:, k] @ w for k in range(3)], axis=1)
-    g_v = (sharp * w.sum(axis=0))[:, None] * axes + COSINE_LOBE_SHARPNESS * w_n
+    g_amp = ws[2] @ r
+    np.multiply(_log_slope_over_d(ws, w), ws[2], out=w)
+    w *= r
+    w *= amps[:, None]
+    # w N as matrix-vector products, not a gemm: see _lobe_columns.
+    w_n = np.stack([w @ n for n in normals], axis=1)
+    g_v = (sharp * w.sum(axis=1))[:, None] * axes + COSINE_LOBE_SHARPNESS * w_n
     g_axes = sharp[:, None] * g_v
     g_axes -= axes * np.sum(axes * g_axes, axis=1, keepdims=True)
     g_logsharp = sharp * (np.sum(axes * g_v, axis=1) - amps * g_amp)
@@ -312,7 +319,9 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
     closed form (``_fit_gradients``).  Projected gradient descent with a
     backtracking line search keeps the loss non-increasing over accepted
     steps; ``_FIT_MAX_FAIL_STREAK`` consecutive failed line searches raise
-    ``EnvmapFitError``.
+    ``EnvmapFitError``.  The views are only read.  A call allocates a (3, points)
+    copy of the normals, ``_lobe_columns`` workspaces for the current and the
+    trial point and the gradient's ``w`` once; an accepted trial swaps the two.
     """
     if not isinstance(iterations, (int, np.integer)) or iterations < 0:
         raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
@@ -331,7 +340,7 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
     for name, buf in (("rgb", target), ("normals", normals), ("albedo", albedo)):
         if not np.isfinite(buf).all():
             raise ValueError(f"{name} must be finite")
-    _check_unit(normals, "normal")
+    normals = np.ascontiguousarray(_check_unit(normals, "normal").T)
 
     env = init if init is not None else default_envmap()
     if len(env) == 0:
@@ -340,14 +349,16 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
     sharp = env.sharpnesses.copy()
     amps = env.amplitudes.copy()
 
-    cols, d = _lobe_columns(axes, sharp, normals)
-    loss = _shading_loss(cols @ amps, albedo, target)
+    d, q, cols, trial_d, trial_q, trial_cols, scratch, w = np.empty((8, len(env), len(target)))
+    ws, trial_ws = (d, q, cols, scratch), (trial_d, trial_q, trial_cols, scratch)
+    light = amps @ _lobe_columns(axes, sharp, normals, ws)
+    loss = _shading_loss(light, albedo, target)
     history = [loss]
     step = _FIT_STEP_SIZE
     fail_streak = 0
     for _ in range(iterations):
         g_amp, g_axes, g_logsharp = _fit_gradients(
-            axes, sharp, amps, normals, albedo, target, cols, d
+            axes, sharp, amps, normals, albedo, target, light, ws, w
         )
         accepted = False
         trial = step
@@ -358,11 +369,11 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
             new_sharp = np.clip(sharp * np.exp(-trial * g_logsharp), 1e-3, 1e4)
             new_axes = axes - trial * g_axes
             new_axes /= np.linalg.norm(new_axes, axis=1, keepdims=True)
-            new_cols, new_d = _lobe_columns(new_axes, new_sharp, normals)
-            new_loss = _shading_loss(new_cols @ new_amps, albedo, target)
+            new_light = new_amps @ _lobe_columns(new_axes, new_sharp, normals, trial_ws)
+            new_loss = _shading_loss(new_light, albedo, target)
             if new_loss <= loss:
-                axes, sharp, amps = new_axes, new_sharp, new_amps
-                cols, d, loss = new_cols, new_d, new_loss
+                axes, sharp, amps, light, loss = new_axes, new_sharp, new_amps, new_light, new_loss
+                ws, trial_ws = trial_ws, ws
                 step = min(trial * 1.5, 10.0 * _FIT_STEP_SIZE)
                 accepted = True
                 break

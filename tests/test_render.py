@@ -738,6 +738,27 @@ class TestBoundedErrorMarch:
     or, through the full march's operators, per node and table bin.
     """
 
+    @pytest.mark.parametrize("pose", [(20.0, 35.0), (-40.0, 200.0), (75.0, 120.0)])
+    def test_opaque_cut_keeps_the_two_pass_transmittance(self, monkeypatch, pose):
+        # The cut drops a suffix of each ray, so one transmittance scan gives the kept
+        # samples' T_exc and every ray's T_final with the bits of a second scan over
+        # the samples the cut kept.
+        transmittance = _render_np._transmittance
+        scanned = []
+
+        def spy(a, keep, shape):
+            scanned.append(keep)
+            return transmittance(a, keep, shape)
+
+        monkeypatch.setattr(_render_np, "_transmittance", spy)
+        _, cache = render(scene("sharp-sdf", n=16), camera(16, *pose), light_table(),
+                          samples_per_ray=SAMPLES, want_cache=True)
+        m = cache.march
+        assert len(scanned) == 1 and m.keep.size < scanned[0].size
+        t_exc, t_final = transmittance(m.a, m.keep, (cache.ridx.size, SAMPLES))
+        assert t_exc.tobytes() == m.t_exc.tobytes()
+        assert t_final.tobytes() == m.t_final.tobytes()
+
     @pytest.mark.parametrize("jitter_seed", [0, 5])
     @pytest.mark.parametrize("pose", [(20.0, 35.0), (-40.0, 200.0), (75.0, 120.0)])
     def test_within_the_written_bound(self, monkeypatch, pose, jitter_seed):

@@ -222,21 +222,28 @@ class TestMcSphereIntegral:
         assert abs(val - expected) <= 0.01 * expected
 
 
-def fd_gradients(axes, sharp, amps, normals, albedo, target, cols=None, d=None):
-    """Central-difference oracle for ``sg._fit_gradients``; ignores ``cols`` and ``d``.
+def lobe_basis(axes, sharp, normals):
+    """``sg._lobe_columns`` over (3, m) normals in a fresh workspace: (cols, workspace)."""
+    ws = np.empty((4, len(sharp), normals.shape[1]))
+    return sg._lobe_columns(axes, sharp, normals, ws), ws
 
-    Perturbing one lobe only swaps out its own basis column.  Axis steps
+
+def fd_gradients(axes, sharp, amps, normals, albedo, target, *unused):
+    """Central-difference oracle for ``sg._fit_gradients`` over (3, m) ``normals``;
+    ignores the light, workspace and buffer arguments.
+
+    Perturbing one lobe only swaps out its own basis row.  Axis steps
     are renormalized, so the axis gradient is the tangent-plane one;
     sharpness steps are taken in log space.
     """
-    cols = sg._lobe_columns(axes, sharp, normals)[0]
-    light = cols @ amps
+    cols = lobe_basis(axes, sharp, normals)[0]
+    light = amps @ cols
 
     def loss_with_column(j, col_j, amp_j):
-        return sg._shading_loss(light - cols[:, j] * amps[j] + col_j * amp_j, albedo, target)
+        return sg._shading_loss(light - cols[j] * amps[j] + col_j * amp_j, albedo, target)
 
     def column(axis, s):
-        return sg._lobe_columns(axis[None, :], np.array([s]), normals)[0][:, 0]
+        return lobe_basis(axis[None, :], np.array([s]), normals)[0][0]
 
     g_amp = np.zeros_like(amps)
     g_axes = np.zeros_like(axes)
@@ -244,8 +251,8 @@ def fd_gradients(axes, sharp, amps, normals, albedo, target, cols=None, d=None):
     for j in range(len(amps)):
         h = 1e-6
         g_amp[j] = (
-            loss_with_column(j, cols[:, j], amps[j] + h)
-            - loss_with_column(j, cols[:, j], amps[j] - h)
+            loss_with_column(j, cols[j], amps[j] + h)
+            - loss_with_column(j, cols[j], amps[j] - h)
         ) / (2.0 * h)
         hs = 1e-4
         cp = column(axes[j], sharp[j] * math.exp(hs))
@@ -267,31 +274,72 @@ def fd_gradients(axes, sharp, amps, normals, albedo, target, cols=None, d=None):
     return g_amp, g_axes, g_logsharp
 
 
+def row_major_columns(axes, sharp, normals):
+    """The basis as an (m, n_lobes) array over (m, 3) normals, computed point-major as
+    ``sg._lobe_columns`` once did: the oracle for the lobe-major workspace's bits."""
+    s_c = COSINE_LOBE_SHARPNESS
+    d = normals[:, :1] * axes[:, 0]
+    d += normals[:, 1:2] * axes[:, 1]
+    d += normals[:, 2:] * axes[:, 2]
+    d += 1.0
+    d *= 2.0 * s_c * sharp
+    d += (sharp - s_c) ** 2
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    ratio = -np.expm1(-2.0 * np.maximum(d, 1e-300)) / np.maximum(d, 1e-300)
+    return 2.0 * COSINE_LOBE_AMPLITUDE * np.exp(d - (sharp + s_c)) * ratio
+
+
+def slope_over_d(d):
+    """``sg._log_slope_over_d`` at the distances ``d``, with q as ``_lobe_columns`` makes it."""
+    ws = np.stack([d, -np.expm1(-2.0 * d), d, d])[:, None, :]
+    return sg._log_slope_over_d(ws, np.empty((1, len(d))))[0]
+
+
 def random_unit(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def singular_lobes(rng):
+    """Random lobes, plus lobes of the cosine lobe's sharpness or nearly so whose
+    axes are opposed to EZ or nearly so: d_m at or near its removable singularity."""
+    lobes = [random_lobe(rng) for _ in range(12)]
+    for s in (COSINE_LOBE_SHARPNESS, COSINE_LOBE_SHARPNESS * (1.0 + 1e-9)):
+        lobes.append(SphericalGaussian(-EZ, s, 1.0))
+    tilted = np.array([1e-4, 0.0, -1.0])
+    lobes.append(SphericalGaussian(tilted, COSINE_LOBE_SHARPNESS, 1.0))
+    return Envmap(tuple(lobes))
+
+
 class TestLobeColumns:
     def test_matches_scalar_inner_product(self):
         rng = np.random.default_rng(16)
-        lobes = [random_lobe(rng) for _ in range(12)]
-        # s equal or nearly equal to the cosine lobe's, with opposed axes,
-        # puts d_m at or near its removable singularity.
-        for s in (COSINE_LOBE_SHARPNESS, COSINE_LOBE_SHARPNESS * (1.0 + 1e-9)):
-            lobes.append(SphericalGaussian(-EZ, s, 1.0))
-        tilted = np.array([1e-4, 0.0, -1.0])
-        lobes.append(SphericalGaussian(tilted, COSINE_LOBE_SHARPNESS, 1.0))
+        env = singular_lobes(rng)
         normals = np.concatenate([random_unit(rng, 40), EZ[None]])
-        env = Envmap(tuple(lobes))
-        cols, d = sg._lobe_columns(env.axes, env.sharpnesses, normals)
-        unit_lobes = [SphericalGaussian(g.axis, g.sharpness, 1.0) for g in lobes]
+        cols, ws = lobe_basis(env.axes, env.sharpnesses, np.ascontiguousarray(normals.T))
+        unit_lobes = [SphericalGaussian(g.axis, g.sharpness, 1.0) for g in env.lobes]
         expected = np.array(
             [[sg_inner_product(g, cosine_lobe(n)) / np.pi for g in unit_lobes] for n in normals]
         )
-        np.testing.assert_allclose(cols, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cols.T, expected, rtol=1e-12, atol=0.0)
         v = env.sharpnesses[None, :, None] * env.axes[None] + COSINE_LOBE_SHARPNESS * normals[:, None]
-        np.testing.assert_allclose(d, np.linalg.norm(v, axis=-1), rtol=1e-9, atol=1e-7)
+        np.testing.assert_allclose(ws[0].T, np.linalg.norm(v, axis=-1), rtol=1e-9, atol=1e-7)
+
+    def test_matches_row_major_formula_bitwise(self):
+        # Opposed axes at equal sharpness give d_m = 0 exactly (EZ against the
+        # first singular lobe); the Fibonacci normals and the 24 default lobes are
+        # the benchmark's fit and cover every ufunc loop's body and tail.
+        rng = np.random.default_rng(24)
+        lobes = singular_lobes(rng).lobes + default_envmap(24).lobes
+        env = Envmap(lobes)
+        normals = np.concatenate([fibonacci_sphere(4096), random_unit(rng, 37), EZ[None], -EZ[None]])
+        cols, ws = lobe_basis(env.axes, env.sharpnesses, np.ascontiguousarray(normals.T))
+        assert ws[0][12, -2] == math.sqrt(np.finfo(np.float64).tiny)
+        expected = row_major_columns(env.axes, env.sharpnesses, normals)
+        np.testing.assert_array_equal(cols.T, expected)
+        basis = irradiance_basis(env, normals)
+        assert basis.flags.c_contiguous
+        np.testing.assert_array_equal(basis, expected)
 
 
 class TestFitGradients:
@@ -312,9 +360,12 @@ class TestFitGradients:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         albedo = rng.uniform(0.2, 1.0, (len(normals), 3))
         target = albedo * irradiance_many(truth, normals)[:, None]
-        cols, d = sg._lobe_columns(axes, sharp, normals)
-        assert d[300:, 2].min() < 1e-6
-        analytic = sg._fit_gradients(axes, sharp, amps, normals, albedo, target, cols, d)
+        normals = np.ascontiguousarray(normals.T)
+        cols, ws = lobe_basis(axes, sharp, normals)
+        assert ws[0][2, 300:].min() < 1e-6
+        analytic = sg._fit_gradients(
+            axes, sharp, amps, normals, albedo, target, amps @ cols, ws, np.empty_like(cols)
+        )
         oracle = fd_gradients(axes, sharp, amps, normals, albedo, target)
         for got, want in zip(analytic, oracle):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -325,11 +376,22 @@ class TestFitGradients:
     def test_slope_matches_taylor_series(self):
         # Near d = 0 a point's gradient terms vanish like d, so the fit
         # cannot show a wrong slope there; compare it with five terms of
-        # the series of (coth d - 1/d) / d instead, on both branches.
-        d = np.concatenate([[0.0], np.geomspace(1e-8, 0.1, 200)])
+        # the series of (coth d - 1/d) / d instead, on both branches, from
+        # the floor that _lobe_columns puts under d.
+        d = np.concatenate([[math.sqrt(np.finfo(np.float64).tiny)], np.geomspace(1e-8, 0.1, 200)])
         d2 = d * d
         taylor = 1 / 3 - d2 / 45 + 2 * d2**2 / 945 - d2**3 / 4725 + 2 * d2**4 / 93555
-        np.testing.assert_allclose(sg._log_col_slope_over_d(d), taylor, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(slope_over_d(d), taylor, rtol=1e-10, atol=0.0)
+
+    def test_slope_matches_tanh_form(self):
+        # The slope from q against (1 / tanh d - 1/d) / d, from the series switch up
+        # to the largest d_m the sharpness clip allows.  Both forms cancel 1/d against
+        # coth d, so an ulp of 1/d in either moves the slope by about 3 eps / d^2
+        # relative (4.3e-11 apart at the switch); from d = 0.05 up 1e-12 holds alone.
+        d = np.geomspace(4e-3, 1e4 + COSINE_LOBE_SHARPNESS, 4000)
+        tanh_form = (1.0 / np.tanh(d) - 1.0 / d) / d
+        rtol = 1e-12 + 8.0 * np.finfo(np.float64).eps / (d * d)
+        assert np.all(np.abs(slope_over_d(d) - tanh_form) <= rtol * tanh_form)
 
 
 class TestFitEnvmap:
@@ -359,9 +421,11 @@ class TestFitEnvmap:
             resid = albedo * (basis @ a)[:, None] - target
             return float(np.mean(resid * resid))
 
-        cols, d = sg._lobe_columns(env.axes, env.sharpnesses, normals)
+        normals = np.ascontiguousarray(normals.T)
+        cols, ws = lobe_basis(env.axes, env.sharpnesses, normals)
         analytic = sg._fit_gradients(
-            env.axes, env.sharpnesses, amps, normals, albedo, target, cols, d
+            env.axes, env.sharpnesses, amps, normals, albedo, target, amps @ cols, ws,
+            np.empty_like(cols),
         )[0]
         for j in range(6):
             h = 1e-6
@@ -399,18 +463,48 @@ class TestFitEnvmap:
         np.testing.assert_array_equal(fitted.amplitudes, 0.0)
         np.testing.assert_array_equal(fitted.axes, init.axes)
 
-    def test_history_matches_central_difference_fit(self, monkeypatch):
-        # The benchmark's envmap_fit size: 4096 Fibonacci normals, 24 lobes.
+    @staticmethod
+    def _fit_and_central_difference_fit(monkeypatch, s_lo, s_hi):
+        # The benchmark's envmap_fit size: 4096 Fibonacci normals, 24 lobes of
+        # sharpness 10, against 6 truth lobes of sharpness in [s_lo, s_hi).
         rng = np.random.default_rng(18)
         normals = fibonacci_sphere(4096)
         albedo = rng.uniform(0.3, 0.9, (4096, 3))
-        truth = Envmap(tuple(random_lobe(rng, 2.0, 30.0) for _ in range(6)))
+        truth = Envmap(tuple(random_lobe(rng, s_lo, s_hi) for _ in range(6)))
         views = [(albedo * irradiance_many(truth, normals)[:, None], normals, albedo)]
-        _, history = fit_envmap(views, iterations=10, return_history=True)
+        fitted, history = fit_envmap(views, iterations=10, return_history=True)
         monkeypatch.setattr(sg, "_fit_gradients", fd_gradients)
         _, reference = fit_envmap(views, iterations=10, return_history=True)
         assert history[-1] < 0.5 * history[0]
         np.testing.assert_allclose(history, reference, rtol=1e-8, atol=0.0)
+        return fitted
+
+    def test_history_matches_central_difference_fit(self, monkeypatch):
+        self._fit_and_central_difference_fit(monkeypatch, 2.0, 30.0)
+
+    def test_sharper_truth_history_matches_central_difference_fit(self, monkeypatch):
+        # A truth sharper than every initial lobe needs the axis and sharpness
+        # steps, not only the amplitudes.
+        fitted = self._fit_and_central_difference_fit(monkeypatch, 40.0, 80.0)
+        assert np.all(np.log(fitted.sharpnesses / 10.0) > 0.05)
+        assert np.abs(fitted.axes - default_envmap(24).axes).max() > 1e-3
+
+    def test_caller_buffers_not_written(self):
+        # Image-shaped buffers reshape to views of the caller's arrays, and the
+        # fit works in place on its own buffers.
+        rng = np.random.default_rng(25)
+        normals = random_unit(rng, 96).reshape(8, 12, 3)
+        albedo = rng.uniform(0.2, 1.0, (8, 12, 3))
+        rgb = albedo * irradiance_many(default_envmap(6, 20.0), normals.reshape(-1, 3)).reshape(8, 12, 1)
+        init = default_envmap(6, sharpness=4.0)
+
+        def snapshot():
+            bufs = (rgb, normals, albedo, init.axes, init.sharpnesses, init.amplitudes)
+            return [b.tobytes() for b in bufs]
+
+        before = snapshot()
+        fit_envmap([(rgb, normals, albedo)], init=init, iterations=10)
+        assert snapshot() == before
 
     @pytest.mark.parametrize(
         "field, value",

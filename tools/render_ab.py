@@ -1,4 +1,4 @@
-"""Interleaved A/B timing of render ops between this checkout and another one.
+"""Interleaved A/B timing of benchmark and render ops between this checkout and another one.
 
 Run from the repository root, with a checkout of the commit to compare against:
 
@@ -8,21 +8,23 @@ Both libraries load into one process: this checkout's ``src/orbitforge`` as
 ``orbitforge`` and the other's as ``orbitforge_other``.  Each case builds the
 same seeded inputs with each library, runs one untimed op on each side, and
 then ``--pairs`` pairs of ops, one per side, the side that runs first
-alternating from pair to pair.  Pair i renders view i % 21.  Per case it
-prints the median op time of each side, the ratio of the medians
-(this / other, below 1 when this checkout is faster), the quartiles of the
-per-pair ratios, and the pairs this checkout won.
+alternating from pair to pair.  Pair i runs op i, which renders or samples
+frame i % 21 (``envmap_fit`` runs the same fit every time).  Per case it
+prints the median op time of each side, the ratio of the medians (this /
+other, below 1 when this checkout is faster), the quartiles of the per-pair
+ratios, and the pairs this checkout won.
 
 Cases:
 
-- ``orbit_fit_sdf64`` and ``orbit_view_density128``: the benchmark's ops,
-  from ``bench/workloads.py``, which this file only reads;
+- ``orbit_fit_sdf64``, ``orbit_view_density128``, ``envmap_fit`` and
+  ``orbit_sample_cfg``: the benchmark's ops, from ``bench/workloads.py``,
+  which this file only reads;
 - ``dense_view128``: a forward-only view of a 128^3 30 * exp(-(r / 0.25)^2)
   density with uniform albedo 0.5, where every sample is gathered;
 - ``kept_density128``: ``orbit_view_density128``'s grid rendered with its
   march kept and then differentiated, which also gathers every sample.
 
-The seed-1 cameras and light of the benchmark serve every case.
+The benchmark's seed-1 set-up serves every case.
 """
 
 import argparse
@@ -111,6 +113,8 @@ def kept_density128(w):
 CASES = {
     "orbit_fit_sdf64": bench_op("orbit_fit_sdf64"),
     "orbit_view_density128": bench_op("orbit_view_density128"),
+    "envmap_fit": bench_op("envmap_fit"),
+    "orbit_sample_cfg": bench_op("orbit_sample_cfg"),
     "dense_view128": dense_view128,
     "kept_density128": kept_density128,
 }
