@@ -10,6 +10,15 @@ from there, so a forward+backward step marches once.  No hit rays means
 zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
+Every march places its samples on the lattice the same way, and no sample
+position is stored: ``_sample_points`` gives the distances t alone, and a
+sample's clamped lattice coordinate ((o + t * d) + 0.5) * (n - 1) is taken
+from the camera origin o, its ray's direction d and t one axis at a time
+(``_coordinate``).  The cell tests, the SDF cell test and the occupied-cell
+test, index their (n-1)^3 tables with one flat cell index per sample
+(``_cell_index``), and ``_trilinear`` builds the operator of the gathered
+samples, and of the surface points at the expected depths, from a (3, m)
+block of their coordinates.
 A march is packed, like NerfAcc's samples: every per-sample array has one
 row per gathered sample, in ascending flat (ray, stratum) order
 (``_March.keep``), and ``_ray_sums`` adds each ray's terms in that order,
@@ -31,7 +40,7 @@ takes the box of the cells with a nonzero corner, widened by one cell
 slab test (``_box_strata``).  A ray that misses the box is not marched: it
 composites as a miss (background, mask 0, depth +inf, normal and illum 0),
 which is what a march of all-zero opacity gives.  On the other rays only
-the strata that may reach the interval are placed, each at the position a
+the strata that may reach the interval are placed, each at the distance a
 full placement gives it, and of those only the samples whose cell has a
 nonzero corner are gathered: field, albedo and normals, and the light.
 Every other sample would interpolate density 0, so its opacity and weight
@@ -124,15 +133,31 @@ def hash01(pixel, sample, seed):
     return (h >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-def _cells(points, n):
-    """Lattice cell (its lowest node's (..., 3) index) and offset in it of each point.
+def _coordinate(origin, dirs, t, n, axis, out):
+    """The clamped lattice coordinate along ``axis`` of the samples origin + t * dirs, into
+    ``out``, shaped like ``t``; ``dirs`` broadcasts against ``t[..., None]``.
 
-    Points are world positions in the cube [-0.5, 0.5]^3 spanned by the
-    n^3 nodes; points outside it clamp to the boundary.
+    The cube [-0.5, 0.5]^3 is spanned by the n^3 nodes, and the coordinate
+    is ((o + t * d) + 0.5) * (n - 1), clipped to [0, n - 1 - 1e-9]: a sample
+    outside the cube clamps to its boundary.  Its int cast is its floor,
+    the index of the lowest node of its cell along ``axis``.
     """
-    g = np.clip((points + 0.5) * (n - 1), 0.0, n - 1 - 1e-9)
-    i0 = np.floor(g).astype(np.int64)
-    return i0, g - i0
+    np.multiply(t, dirs[..., axis], out=out)
+    out += origin[axis]
+    out += 0.5
+    out *= n - 1
+    return np.clip(out, 0.0, n - 1 - 1e-9, out=out)
+
+
+def _cell_index(origin, dirs, t, n):
+    """The flat index into the (n-1)^3 cells of the n^3 nodes of each sample origin + t * dirs
+    (``_coordinate``), shaped like ``t``; built one axis at a time."""
+    g = np.empty(np.shape(t))
+    cell = np.zeros(np.shape(t), dtype=np.intp)
+    for axis in range(3):
+        cell *= n - 1
+        cell += _coordinate(origin, dirs, t, n, axis, g).astype(np.intp)
+    return cell
 
 
 def _csr(indices, data, n_cols):
@@ -143,18 +168,26 @@ def _csr(indices, data, n_cols):
     return scipy.sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, n_cols))
 
 
-def _trilinear(points, n):
-    """The (m, n^3) CSR matrix of trilinear weights of (m, 3) world points on n^3 nodes.
+def _trilinear(origin, dirs, t, n):
+    """The (m, n^3) CSR matrix of trilinear weights on n^3 nodes of the m samples
+    origin + t * dirs, in the flat order of ``t``; ``dirs`` broadcasts against ``t[..., None]``.
 
-    Row i holds the 8 corners of point i's cell, in ascending flat node
+    Row i holds the 8 corners of sample i's cell, in ascending flat node
     order, with int32 indices; its product with the node values sums the 8
-    corner terms in that order, starting from 0.
+    corner terms in that order, starting from 0.  The lattice coordinates
+    (``_coordinate``) of the samples fill one (3, m) block, which then holds
+    their offsets in their cells.
     """
-    i0, f = _cells(points, n)
-    base = (i0[:, 0] * n + i0[:, 1]) * n + i0[:, 2]
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    indices = np.empty((len(points), 8), dtype=np.int32)
-    data = np.empty((len(points), 8))
+    g = np.empty((3,) + np.shape(t))
+    for axis in range(3):
+        _coordinate(origin, dirs, t, n, axis, g[axis])
+    g = g.reshape(3, -1)
+    i0 = g.astype(np.intp)
+    g -= i0
+    base = (i0[0] * n + i0[1]) * n + i0[2]
+    fx, fy, fz = g
+    indices = np.empty((len(base), 8), dtype=np.int32)
+    data = np.empty((len(base), 8))
     k = 0
     for dx, wx in ((0, 1 - fx), (1, fx)):
         for dy, wy in ((0, 1 - fy), (1, fy)):
@@ -167,7 +200,7 @@ def _trilinear(points, n):
 
 
 def _interp(values, op):
-    """Trilinear interpolation of (n, n, n[, c]) node values at the points of ``op``."""
+    """Trilinear interpolation of (n, n, n[, c]) node values at the samples of ``op``."""
     return op @ values.reshape((op.shape[1],) + values.shape[3:])
 
 
@@ -212,13 +245,6 @@ def _cell_min(field):
     low = np.minimum(field[1:], field[:-1])
     low = np.minimum(low[:, 1:], low[:, :-1])
     return np.minimum(low[:, :, 1:], low[:, :, :-1])
-
-
-def _per_sample(cell_values, points):
-    """The value of each point's cell, from (n-1)^3 per-cell values."""
-    m = cell_values.shape[0]
-    cell, _ = _cells(points, m + 1)
-    return cell_values.reshape(-1)[(cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]]
 
 
 def _occupied_cells(nonzero):
@@ -277,19 +303,19 @@ def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
     return rays, (rows, j)
 
 
-def _sdf_samples(grid, pos, dt):
-    """Ascending flat indices of the (rays, samples, 3) points ``pos`` of an SDF grid whose
-    opacity may reach ``_EPS``.
+def _sdf_samples(grid, origin, dirs, t, dt):
+    """Ascending flat indices of the (rays, samples) samples origin + t * dirs of an SDF grid
+    whose opacity may reach ``_EPS``; ``dirs`` broadcasts against ``t[..., None]``.
 
-    A point's density is at most alpha * exp(-s / beta) <= alpha * exp(-s_min / beta),
+    A sample's density is at most alpha * exp(-s / beta) <= alpha * exp(-s_min / beta),
     s_min the smallest corner of its cell, and its opacity at most that times
-    its ray's spacing ``dt``; a point whose bound is below ``_EPS`` is dropped.
+    its ray's spacing ``dt``; a sample whose bound is below ``_EPS`` is dropped.
     """
     with np.errstate(divide="ignore"):
         log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
     limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
-    s_min = _per_sample(_cell_min(grid.field), pos.reshape(-1, 3))
-    return np.flatnonzero(s_min.reshape(pos.shape[:2]) <= limit[:, None])
+    s_min = _cell_min(grid.field).reshape(-1)[_cell_index(origin, dirs, t, grid.resolution)]
+    return np.flatnonzero(s_min <= limit[:, None])
 
 
 def _unit_normals(grid, gvec):
@@ -337,18 +363,21 @@ def table_scatter(shape, lop, weights):
     return (lop.T @ weights.ravel()).reshape(shape)
 
 
-def _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata=None):
-    """Sample distances and world positions on the hit rays.
+def _sample_points(pix, t0, dt, n_samples, jitter_seed, strata=None):
+    """Sample distances on the hit rays.
 
     Stratum j of a ray holds one sample at t0 + (j + jitter) * dt, the jitter
     keyed by (pixel, j).  Every stratum of every ray is placed, shaped
-    (rays, n_samples[, 3]), unless ``strata`` = (rows, j) names the strata to
-    place, one sample each, shaped (m[, 3]); a sample has the same bits either way.
+    (rays, n_samples), unless ``strata`` = (rows, j) names the strata to place,
+    one sample each, shaped (m,); a sample has the same bits either way.  The
+    distances are computed in the jitter's array.
     """
     rows, j = (np.s_[:, None], np.arange(n_samples)) if strata is None else strata
-    xi = hash01(pix[rows], j, jitter_seed)
-    t = t0[rows] + (j + xi) * dt[rows]
-    return t, origin + t[..., None] * dirs[rows]
+    t = hash01(pix[rows], j, jitter_seed)
+    t += j
+    t *= dt[rows]
+    t += t0[rows]
+    return t
 
 
 class _March(NamedTuple):
@@ -422,15 +451,17 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
             normals, keep_march):
     """March the hit rays once and composite them into per-ray buffers.
 
-    ``dirs``, ``t0``, ``t1`` and the flat pixel indices ``pix`` describe the
-    hit rays only.  ``normals`` are the whole image's frozen (height, width,
-    samples, 3) shading normals, or None to take them from the field gradient
-    at the gathered samples (``_interp_gradient``).  An SDF grid gathers only
-    the samples that pass the cell test and lie before the opaque cut.
-    Unless the caller keeps the march (``keep_march``), a density grid
-    marches only the rays that meet the box of its occupied cells, places
-    only their strata that may reach it, and gathers only the samples of
-    occupied cells (module docstring).
+    ``origin`` is the camera position, and ``dirs``, ``t0``, ``t1`` and the
+    flat pixel indices ``pix`` describe the hit rays only.  Samples are placed
+    by their distances t; their cells and trilinear weights come from
+    origin + t * dir one axis at a time (module docstring).  ``normals`` are
+    the whole image's frozen (height, width, samples, 3) shading normals, or
+    None to take them from the field gradient at the gathered samples
+    (``_interp_gradient``).  An SDF grid gathers only the samples that pass
+    the cell test and lie before the opaque cut.  Unless the caller keeps the
+    march (``keep_march``), a density grid marches only the rays that meet
+    the box of its occupied cells, places only their strata that may reach
+    it, and gathers only the samples of occupied cells (module docstring).
 
     Returns (march, normals, pix, rgb, mask, depth, normal, illum).  With
     ``keep_march`` the march holds what ``backward`` reads and normals are
@@ -442,27 +473,32 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     at the expected depth.  A hit ray that is not marched is a miss.
     """
     sdf = grid.kind == "sdf"
+    n = grid.resolution
     dt = (t1 - t0) / n_samples
     cells = None if sdf or keep_march else _occupied_cells(grid.field != 0.0)
-    strata = None
-    if cells is not None:
+    if cells is None:
+        # Every stratum is placed, (rays, samples), each against its ray's direction.
+        t = _sample_points(pix, t0, dt, n_samples, jitter_seed)
+        along = dirs[:, None]
+        keep = _sdf_samples(grid, origin, along, t, dt) if sdf else np.arange(t.size)
+        rows = keep // n_samples
+        if len(keep) < t.size:
+            t, along = t.reshape(-1)[keep], dirs[rows]
+    else:
         # Only the rays that meet the occupied box are marched, on the strata that may reach it.
         occ, lo, hi = cells
-        rays, strata = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
+        rays, (rows, j) = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
         dirs, t0, pix, dt = dirs[rays], t0[rays], pix[rays], dt[rays]
+        t = _sample_points(pix, t0, dt, n_samples, jitter_seed, (rows, j))
+        along = dirs[rows]
+        occupied = np.flatnonzero(occ.reshape(-1)[_cell_index(origin, along, t, n)])
+        rows, t, along = rows[occupied], t[occupied], along[occupied]
+        keep = rows * n_samples + j[occupied]
     shape = (len(pix), n_samples)
-    t, pos = _sample_points(origin, dirs, pix, t0, dt, n_samples, jitter_seed, strata)
-    if strata is None:
-        keep = _sdf_samples(grid, pos, dt) if sdf else np.arange(t.size)
-        t, pos = _gather(t, keep), _gather(pos, keep)
-    else:
-        occupied = np.flatnonzero(_per_sample(occ, pos))
-        keep = (strata[0] * n_samples + strata[1])[occupied]
-        t, pos = t[occupied], pos[occupied]
-    rows = keep // n_samples
 
-    op = _trilinear(pos, grid.resolution)
-    del pos
+    op = _trilinear(origin, along, t, n)
+    t = t.reshape(-1)
+    del along
     f = _interp(grid.field, op)
     dens = sdf_to_density(f, grid.sdf_alpha, grid.sdf_beta) if sdf else f
     a = -np.expm1(-dens * dt[rows])
@@ -499,9 +535,9 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     illum = np.zeros(mask.shape)
     illum[valid] = illum_acc[valid] / mask[valid]
     normal = np.zeros(dirs.shape)
-    surface = origin[None, :] + depth[valid, None] * dirs[valid]
-    gvec = _interp_gradient(grid.field, grid.spacing, _trilinear(surface, grid.resolution))
-    normal[valid] = _unit_normals(grid, gvec)
+    # The operator of the surface points origin + depth * dirs.
+    surface = _trilinear(origin, dirs[valid], depth[valid], n)
+    normal[valid] = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, surface))
     return ((m, normals) if keep_march else (None, None)) + (pix, rgb, mask, depth, normal, illum)
 
 

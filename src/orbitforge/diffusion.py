@@ -1,9 +1,9 @@
 """Continuous-time diffusion machinery with analytic oracles.
 
-Implements denoiser preconditioning, log-normal noise-level sampling, the
-denoising-score-matching objective, power-law sigma schedules, and a
-deterministic Euler sampler for the probability-flow ODE with one
-classifier-free-guidance strength per call (``ddim_sample``); per-frame
+Implements denoiser preconditioning, log-normal noise-level sampling,
+power-law sigma schedules, and a deterministic Euler sampler for the
+probability-flow ODE with one classifier-free-guidance strength per call
+(``ddim_sample``); per-frame
 strengths of an orbit come from ``GuidanceSchedule``.  A Gaussian-mixture
 data distribution has a closed-form optimal denoiser,
 ``GaussianMixture.posterior_mean``, which ``GaussianMixtureDenoiser`` serves
@@ -29,8 +29,6 @@ __all__ = [
     "SigmaSchedule",
     "denoise",
     "score_from_denoiser",
-    "dsm_loss",
-    "edm_weight",
     "make_sigma_schedule",
     "ddim_sample",
     "cfg_combine",
@@ -269,32 +267,6 @@ class GaussianMixtureDenoiser:
         except KeyError:
             raise ValueError(f"no mixture registered for token {cond!r}") from None
         return mixture.posterior_mean(x, sigma)
-
-
-def edm_weight(sigma):
-    """DSM loss weight lambda(sigma) = (1 + sigma^2) / sigma^2."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return (1.0 + sigma * sigma) / (sigma * sigma)
-
-
-def dsm_loss(denoiser, data, noise_dist, rng, n_draws, weight=edm_weight, cond=None):
-    """Monte-Carlo estimate of E[lambda(sigma) ||D(x0 + n; sigma) - x0||^2].
-
-    ``data`` is either a GaussianMixture (sampled) or an array of data
-    points (rows drawn uniformly with replacement).
-    """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    if isinstance(data, GaussianMixture):
-        x0 = data.sample(rng, n_draws)
-    else:
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        x0 = data[rng.integers(0, data.shape[0], size=n_draws)]
-    sigma = noise_dist.sample(rng, n_draws)
-    noise = sigma[:, None] * rng.standard_normal(x0.shape)
-    d_val = denoiser(x0 + noise, sigma, cond)
-    sq = np.sum((d_val - x0) ** 2, axis=1)
-    return float(np.mean(weight(sigma) * sq))
 
 
 @dataclass(frozen=True)

@@ -97,14 +97,18 @@ def camera_rays(camera):
 
 
 def intersect_unit_cube(origin, dirs):
-    """Slab test against [-0.5, 0.5]^3; entry clamped to the camera."""
+    """Slab test against [-0.5, 0.5]^3; entry clamped to the camera.
+
+    ``dirs`` is one (3,) direction or an array of them, (..., 3); ``t0``, ``t1``
+    and ``hit`` have its shape without the last axis.
+    """
     # A zero or subnormal direction component gives an infinite slab distance.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo = (-0.5 - origin) / dirs
         hi = (0.5 - origin) / dirs
     near = np.where(np.isnan(lo), -np.inf, np.minimum(lo, hi))
     far = np.where(np.isnan(hi), np.inf, np.maximum(lo, hi))
-    parallel_outside = (np.abs(dirs) < 1e-15) & (np.abs(origin)[None, None, :] > 0.5)
+    parallel_outside = (np.abs(dirs) < 1e-15) & (np.abs(origin) > 0.5)
     near = np.where(parallel_outside, np.inf, near)
     t0 = np.max(near, axis=-1)
     t1 = np.min(far, axis=-1)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from orbitforge import _render_np
 from orbitforge.grid import SceneGrid, node_gradient
+from orbitforge.render import intersect_unit_cube
 
 N = 5
 
@@ -18,6 +19,12 @@ points_strategy = arrays(
 )
 
 
+def at(points):
+    """The (origin, dirs, t) of samples at world ``points``: t = 1 along each point from the
+    origin, which gives the points' own bits."""
+    return np.zeros(3), points, np.ones(len(points))
+
+
 class TestInterpScatterAdjoint:
     @pytest.mark.parametrize("channels", [1, 3])
     @given(points=points_strategy, seed=st.integers(0, 2**32 - 1))
@@ -27,7 +34,7 @@ class TestInterpScatterAdjoint:
         tail = () if channels == 1 else (channels,)
         values = rng.standard_normal((N, N, N) + tail)
         g = rng.standard_normal((len(points),) + tail)
-        op = _render_np._trilinear(points, N)
+        op = _render_np._trilinear(*at(points), N)
         lhs = np.sum(_render_np._interp(values, op) * g)
         scattered = (op.T @ g).reshape(values.shape)
         rhs = np.sum(values * scattered)
@@ -38,7 +45,7 @@ class TestInterpScatterAdjoint:
         x = np.linspace(-0.5, 0.5, N)
         nodes = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
         np.testing.assert_allclose(
-            _render_np._interp(values, _render_np._trilinear(nodes, N)), values.ravel(),
+            _render_np._interp(values, _render_np._trilinear(*at(nodes), N)), values.ravel(),
             rtol=0, atol=1e-8
         )
 
@@ -46,7 +53,7 @@ class TestInterpScatterAdjoint:
         values = np.random.default_rng(1).standard_normal((N, N, N, 3))
         centre = np.full((1, 3), -0.5 + 0.5 / (N - 1))
         np.testing.assert_allclose(
-            _render_np._interp(values, _render_np._trilinear(centre, N))[0],
+            _render_np._interp(values, _render_np._trilinear(*at(centre), N))[0],
             values[:2, :2, :2].mean(axis=(0, 1, 2))
         )
 
@@ -118,15 +125,15 @@ class TestOccupancy:
     def test_unoccupied_samples_gather_zero(self, points, seed):
         field = _sparse_field(seed)
         occ, _, _ = _render_np._occupied_cells(field != 0.0)
-        rest = points[~_render_np._per_sample(occ, points)]
-        assert np.all(_render_np._interp(field, _render_np._trilinear(rest, N)) == 0.0)
+        rest = points[~occ.reshape(-1)[_render_np._cell_index(*at(points), N)]]
+        assert np.all(_render_np._interp(field, _render_np._trilinear(*at(rest), N)) == 0.0)
 
     def test_picks_the_points_of_occupied_cells(self):
         points = np.random.default_rng(3).uniform(-0.5, 0.5, (200, 3))
 
         def occupied(field):
             occ, _, _ = _render_np._occupied_cells(field != 0.0)
-            return _render_np._per_sample(occ, points)
+            return occ.reshape(-1)[_render_np._cell_index(*at(points), N)]
 
         field = np.zeros((N, N, N))
         assert not occupied(field).any()
@@ -149,13 +156,18 @@ def lattice_cases(draw):
     return n, points, draw(st.integers(0, 2**32 - 1))
 
 
+def _reference_cells(points, n):
+    """The cell (its lowest node's (m, 3) index) and the offset in it of each world point,
+    points outside the cube clamped to its boundary: the lattice of whole points."""
+    g = np.clip((points + 0.5) * (n - 1), 0.0, n - 1 - 1e-9)
+    i0 = np.floor(g).astype(np.int64)
+    return i0, g - i0
+
+
 def _corner_loop(points, n):
     """Dense (m, n^3) trilinear weights, one point and one corner at a time."""
     dense = np.zeros((len(points), n ** 3))
-    for row, point in enumerate(points):
-        g = np.clip((point + 0.5) * (n - 1), 0.0, n - 1 - 1e-9)
-        i0 = np.floor(g).astype(np.int64)
-        f = g - i0
+    for row, (i0, f) in enumerate(zip(*_reference_cells(points, n))):
         for dx in (0, 1):
             for dy in (0, 1):
                 for dz in (0, 1):
@@ -170,12 +182,55 @@ class TestTrilinear:
     @settings(max_examples=60, deadline=None)
     def test_matches_corner_loop(self, case):
         n, points, _ = case
-        op = _render_np._trilinear(points, n)
+        op = _render_np._trilinear(*at(points), n)
         assert op.shape == (len(points), n ** 3)
         assert op.indices.dtype == np.int32
         np.testing.assert_array_equal(op.indptr, np.arange(0, 8 * len(points) + 1, 8))
         assert np.all(np.diff(op.indices.reshape(-1, 8), axis=1) > 0)
         assert op.toarray().tobytes() == _corner_loop(points, n).tobytes()
+
+
+@st.composite
+def lattice_rays(draw):
+    """A resolution, an origin, unit directions and two distances along each: inside the
+    cube, at its entry t0 and exact exit t1, where the point lies on a face, and past or
+    off it, where the point clamps to the boundary."""
+    n = draw(st.integers(2, 9))
+    coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.5, 0.0, 0.5]))
+    origin = np.array(draw(st.tuples(coordinate, coordinate, coordinate)))
+    component = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0]))
+    dirs = draw(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                       elements=component))
+    dirs[np.linalg.norm(dirs, axis=1) < 1e-3] = (0.0, 0.0, 1.0)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u = draw(arrays(np.float64, (len(dirs), 2),
+                    elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))))
+    t0, t1, hit = intersect_unit_cube(origin, dirs)
+    t = 4.0 * u
+    t[hit] = np.where(u[hit] == 1.0, t1[hit, None], t0[hit, None] + u[hit] * (t1 - t0)[hit, None])
+    return n, origin, dirs, t
+
+
+class TestLattice:
+    """``_trilinear`` and ``_cell_index`` build the lattice of the samples origin + t * dirs
+    one axis at a time, with the bits of the whole points' lattice."""
+
+    @given(case=lattice_rays())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_lattice_of_whole_points(self, case):
+        n, origin, dirs, t = case
+        points = (origin + t[..., None] * dirs[:, None]).reshape(-1, 3)
+        i0, _ = _reference_cells(points, n)
+        cells = (i0[:, 0] * (n - 1) + i0[:, 1]) * (n - 1) + i0[:, 2]
+        weights = _corner_loop(points, n).tobytes()
+        # (rays, samples) distances against each ray's direction, and packed rows.
+        for along, dist in ((dirs[:, None], t), (np.repeat(dirs, 2, axis=0), t.reshape(-1))):
+            op = _render_np._trilinear(origin, along, dist, n)
+            assert op.shape == (len(points), n ** 3)
+            assert op.toarray().tobytes() == weights
+            cell = _render_np._cell_index(origin, along, dist, n)
+            assert cell.shape == dist.shape
+            np.testing.assert_array_equal(cell.reshape(-1), cells)
 
 
 class TestNodeGradient:
@@ -196,7 +251,7 @@ class TestInterpGradient:
         n, points, seed = case
         field = np.random.default_rng(seed).standard_normal((n, n, n))
         spacing = 1.0 / (n - 1)
-        op = _render_np._trilinear(points, n)
+        op = _render_np._trilinear(*at(points), n)
         nodes = np.stack([np.gradient(field, spacing, axis=a) for a in range(3)], axis=-1)
         expected = _render_np._interp(nodes, op)
         for cost in (_render_np._STENCIL_COST, 0.0, float(n ** 3)):

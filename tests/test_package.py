@@ -46,7 +46,7 @@ def test_import_loads_no_scipy_sparse():
         "import sys, numpy as np, orbitforge.render, orbitforge.sg, orbitforge.diffusion\n"
         "loaded = lambda: any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules)\n"
         "before = loaded()\n"
-        "orbitforge._render_np._trilinear(np.zeros((1, 3)), 2)\n"
+        "orbitforge._render_np._trilinear(np.zeros(3), np.zeros((1, 3)), np.ones(1), 2)\n"
         "print(before, loaded())\n"
     )
     src = str(Path(orbitforge.__file__).resolve().parents[1])

@@ -245,6 +245,24 @@ class TestInvariants:
         assert (covered & disc).sum() / (covered | disc).sum() >= 0.8
 
 
+class TestIntersectUnitCube:
+    @pytest.mark.parametrize("shape", [(3,), (12, 3), (4, 3, 3), (2, 3, 2, 3)],
+                             ids=["one", "flat", "image", "batch"])
+    def test_outputs_have_the_rays_shape(self, shape):
+        """Each of t0, t1 and hit has ``dirs.shape[:-1]`` and each ray's image-layout values,
+        with directions along an axis from outside the cube's slab (misses) among them."""
+        origin, image = camera_rays(camera(px=4, elevation=0.0, azimuth=0.0))
+        rays = image.reshape(-1, 3).copy()
+        rays[:3] = np.eye(3)  # the camera sits outside the slab of the axis it does not move along
+        image = rays.reshape(image.shape)
+        expected = intersect_unit_cube(origin, image)
+        assert not expected[2].reshape(-1)[:3].all()
+        dirs = rays[:int(np.prod(shape[:-1]))].reshape(shape)
+        for got, want in zip(intersect_unit_cube(origin, dirs), expected):
+            assert np.shape(got) == shape[:-1]
+            np.testing.assert_array_equal(np.ravel(got), want.reshape(-1)[:np.size(got)])
+
+
 class TestNoRayHitsTheCube:
     """A view whose rays all miss the cube is zero hit rays, not a special case."""
 
@@ -552,18 +570,17 @@ def placed_strata(field, origin, dirs, jitter_seed):
     pix = np.flatnonzero(hit)
     dirs, t0, t1 = dirs.reshape(-1, 3)[pix], t0.ravel()[pix], t1.ravel()[pix]
     dt = (t1 - t0) / SAMPLES
-    t, pos = _render_np._sample_points(origin, dirs, pix, t0, dt, SAMPLES, jitter_seed)
-    cell, _ = _render_np._cells(pos.reshape(-1, 3), n)
-    occupied = _render_np._occupancy(field != 0.0)[cell[:, 0], cell[:, 1], cell[:, 2]]
+    t = _render_np._sample_points(pix, t0, dt, SAMPLES, jitter_seed)
+    occupied = _render_np._occupancy(field != 0.0).reshape(-1)[
+        _render_np._cell_index(origin, dirs[:, None], t, n)]
     _, lo, hi = _render_np._occupied_cells(field != 0.0)
     rays, (rows, j) = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi,
                                              1.0 / (n - 1))
     placed = np.zeros((len(pix), SAMPLES), dtype=bool)
     placed[rays[rows], j] = True
-    got_t, got_pos = _render_np._sample_points(origin, dirs[rays], pix[rays], t0[rays],
-                                               dt[rays], SAMPLES, jitter_seed, (rows, j))
-    same_bits = (got_t.tobytes() == t[rays[rows], j].tobytes()
-                 and got_pos.tobytes() == pos[rays[rows], j].tobytes())
+    got_t = _render_np._sample_points(pix[rays], t0[rays], dt[rays], SAMPLES, jitter_seed,
+                                      (rows, j))
+    same_bits = got_t.tobytes() == t[rays[rows], j].tobytes()
     return occupied.reshape(placed.shape), placed, same_bits
 
 
@@ -648,9 +665,9 @@ class TestRayIntervals:
         sample_points = _render_np._sample_points
 
         def recorded(*args):
-            t, pos = sample_points(*args)
+            t = sample_points(*args)
             placed.append(t.size)
-            return t, pos
+            return t
 
         monkeypatch.setattr(_render_np, "_sample_points", recorded)
         grid = SceneGrid("density", sparse_field("blobs", 16), np.full((16, 16, 16, 3), 0.5))
@@ -824,8 +841,8 @@ class TestBoundedErrorMarch:
         assert np.all(np.abs(new["illum"] - old["illum"]) <= d_illum)
         nodes = node_gradient(grid.field, grid.spacing)
         jump = max(np.linalg.norm(np.diff(nodes, axis=axis), axis=-1).max() for axis in range(3))
-        surface = origin + depth[valid, None] * dirs[valid]
-        g = _render_np._interp(nodes, _render_np._trilinear(surface, grid.resolution))
+        op = _render_np._trilinear(origin, dirs[valid], depth[valid], grid.resolution)
+        g = _render_np._interp(nodes, op)
         d_normal = 2 * np.sqrt(3) * d_depth[valid] * jump / (grid.spacing
                                                              * np.linalg.norm(g, axis=-1))
         assert np.all(np.linalg.norm(new["normal"] - old["normal"], axis=-1)[valid] <= d_normal)

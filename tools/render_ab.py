@@ -4,15 +4,17 @@ Run from the repository root, with a checkout of the commit to compare against:
 
     python tools/render_ab.py OTHER_CHECKOUT [--pairs 42] [--case NAME ...]
 
-Both libraries load into one process: this checkout's ``src/orbitforge`` as
-``orbitforge`` and the other's as ``orbitforge_other``.  Each case builds the
-same seeded inputs with each library, runs one untimed op on each side, and
-then ``--pairs`` pairs of ops, one per side, the side that runs first
-alternating from pair to pair.  Pair i runs op i, which renders or samples
-frame i % 21 (``envmap_fit`` runs the same fit every time).  Per case it
-prints the median op time of each side, the ratio of the medians (this /
-other, below 1 when this checkout is faster), the quartiles of the per-pair
-ratios, and the pairs this checkout won.
+Each checkout runs in a worker process of its own, which imports its
+``src/orbitforge`` and this checkout's ``bench/workloads.py``, so the two
+libraries share no heap or allocator state and run the same benchmark code.
+The workers run in lockstep, one op at a time: each case builds the same
+seeded inputs on each side, runs one untimed op on each, and then
+``--pairs`` pairs of ops, one per side, the side that runs first alternating
+from pair to pair.  Pair i runs op i, which renders or samples frame i % 21
+(``envmap_fit`` runs the same fit every time).  Per case it prints the
+median op time of each side, the ratio of the medians (this / other, below 1
+when this checkout is faster), the quartiles of the per-pair ratios, the
+pairs this checkout won, and each side's median minor page faults per op.
 
 Cases:
 
@@ -28,43 +30,18 @@ The benchmark's seed-1 set-up serves every case.
 """
 
 import argparse
-import importlib.util
+import multiprocessing
+import resource
 import statistics
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import workloads as W  # noqa: E402
-
 SEED = 1
-# The library modules ``bench/workloads.py`` reaches through its globals.
-LIBRARY_GLOBALS = {"D": "diffusion", "G": "grid", "O": "orbits", "R": "render", "S": "sg"}
-
-
-def load_library(src, name):
-    """The ``orbitforge`` package under ``src``, imported as ``name``."""
-    init = Path(src) / "orbitforge" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(name, init,
-                                                  submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
-
-
-def load_workloads(package):
-    """A copy of ``bench/workloads.py`` whose library calls go to ``package``."""
-    spec = importlib.util.spec_from_file_location(f"workloads_{package.__name__}", W.__file__)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for attr, sub in LIBRARY_GLOBALS.items():
-        setattr(module, attr, importlib.import_module(f"{package.__name__}.{sub}"))
-    return module
 
 
 def bench_op(name):
@@ -121,36 +98,89 @@ CASES = {
 
 
 def timed(op, i):
+    """Seconds and minor page faults of op(i)."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     op(i)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def compare(this_op, other_op, pairs):
-    """Per-pair times (this, other), the side that runs first alternating."""
-    this_op(0)
-    other_op(0)
-    times = []
+def serve(src, conn):
+    """Worker: import the library under ``src`` and answer ("build", case) and ("run", i)
+    requests on ``conn`` until it receives None; a failed request answers with its traceback."""
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import workloads
+
+    op = None
+    while (request := conn.recv()) is not None:
+        kind, arg = request
+        try:
+            if kind == "build":
+                op = CASES[arg](workloads)
+                op(0)
+                conn.send(("ok", None))
+            else:
+                conn.send(("ok", timed(op, arg)))
+        except Exception:
+            conn.send(("error", traceback.format_exc()))
+
+
+class Side:
+    """One checkout's worker process and its end of the pipe."""
+
+    def __init__(self, ctx, root):
+        self.conn, theirs = ctx.Pipe()
+        self.process = ctx.Process(target=serve, args=(Path(root) / "src", theirs), daemon=True)
+        self.process.start()
+        theirs.close()
+
+    def ask(self, kind, arg):
+        self.conn.send((kind, arg))
+        status, value = self.conn.recv()
+        if status != "ok":
+            raise RuntimeError(f"worker for {self.process.name} failed:\n{value}")
+        return value
+
+    def close(self):
+        try:
+            self.conn.send(None)
+        except OSError:  # the worker has already exited
+            pass
+        self.process.join(timeout=30)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+
+
+def compare(this, other, case, pairs):
+    """Per-pair (seconds, faults) of each side, the side that runs first alternating."""
+    this.ask("build", case)
+    other.ask("build", case)
+    results = []
     for i in range(pairs):
         if i % 2 == 0:
-            this = timed(this_op, i)
-            other = timed(other_op, i)
+            mine = this.ask("run", i)
+            theirs = other.ask("run", i)
         else:
-            other = timed(other_op, i)
-            this = timed(this_op, i)
-        times.append((this, other))
-    return times
+            theirs = other.ask("run", i)
+            mine = this.ask("run", i)
+        results.append((mine, theirs))
+    return results
 
 
-def report(name, times):
-    this, other = (np.array(side) for side in zip(*times))
+def report(name, results):
+    (this, this_faults), (other, other_faults) = (
+        np.array(side).T for side in zip(*results))
     ratios = this / other
     q1, q3 = np.percentile(ratios, [25, 75])
     wins = int(np.sum(this < other))
     return (f"{name:24s} this {statistics.median(this) * 1e3:8.2f} ms  "
             f"other {statistics.median(other) * 1e3:8.2f} ms  "
             f"ratio {statistics.median(this) / statistics.median(other):.3f}  "
-            f"pair IQR {q1:.3f}-{q3:.3f}  faster in {wins} of {len(times)}")
+            f"pair IQR {q1:.3f}-{q3:.3f}  faster in {wins} of {len(results)}  "
+            f"faults/op {statistics.median(this_faults):.0f} vs "
+            f"{statistics.median(other_faults):.0f}")
 
 
 def main():
@@ -162,11 +192,16 @@ def main():
     args = p.parse_args()
     if args.pairs < 1:
         p.error("--pairs must be positive")
-    this = W
-    other = load_workloads(load_library(Path(args.other) / "src", "orbitforge_other"))
-    for name in args.case or CASES:
-        times = compare(CASES[name](this), CASES[name](other), args.pairs)
-        print(report(name, times), flush=True)
+    if not (Path(args.other) / "src" / "orbitforge").is_dir():
+        p.error(f"{args.other} has no src/orbitforge")
+    ctx = multiprocessing.get_context("spawn")
+    sides = [Side(ctx, ROOT), Side(ctx, args.other)]
+    try:
+        for name in args.case or CASES:
+            print(report(name, compare(*sides, name, args.pairs)), flush=True)
+    finally:
+        for side in sides:
+            side.close()
 
 
 if __name__ == "__main__":
