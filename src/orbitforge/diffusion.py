@@ -140,6 +140,8 @@ class GaussianMixture:
         variances = np.asarray(variances, dtype=np.float64)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("mixture needs at least one component")
+        if means.ndim != 2:
+            raise ValueError(f"means must be a (K, dim) array, got shape {means.shape}")
         if not all(np.isfinite(a).all() for a in (weights, means, variances)):
             raise ValueError("weights, means and variances must be finite")
         if np.any(weights < 0.0):
@@ -181,13 +183,15 @@ class GaussianMixture:
         ``x`` is one point or an (n, dim) batch; ``sigma`` is a scalar or one
         value per row and must be finite and >= 0, with every v_k + sigma^2
         above 0 (a zero-variance component has no density at sigma = 0).
-        Returns the log-joint shifted by its row maximum, that maximum and
-        v_k + sigma^2, each (n, K).
+        Returns the (n, K) log-joint shifted by its row maximum, that (n, 1)
+        maximum and s2 = v + sigma^2: a (K,) vector for a scalar sigma and
+        (n, K) for one sigma per row.
 
         No (n, K, dim) array is built.  The squared distances come from one
         (n, dim) @ (dim, K) product, taken around the centroid c of the means:
         ||x - mu_k||^2 = ||x - c||^2 - 2 (x - c).(mu_k - c) + ||mu_k - c||^2,
-        clipped at 0.  Centring keeps the cancellation to rounding of the
+        clipped at 0, and the log-joint is then built inside that product's
+        array.  Centring keeps the cancellation to rounding of the
         spread of x and the means about c, not of their distance from the
         origin.  Without the offsets x - mu_k, ``posterior_mean`` is the second
         product: with responsibilities r_k and s_k = v_k / (v_k + sigma^2),
@@ -204,20 +208,41 @@ class GaussianMixture:
                 f"{self.dim}, got shape {shape}"
             )
         sigma = np.asarray(sigma, dtype=np.float64)
-        if not (np.isfinite(sigma).all() and np.all(sigma >= 0.0)):
+        if sigma.ndim == 0:
+            sigma = float(sigma)
+            valid = 0.0 <= sigma < math.inf
+        elif sigma.shape in ((1,), x.shape[:1]):
+            valid = np.isfinite(sigma).all() and (sigma >= 0.0).all()
+            sigma = sigma[:, None]
+        else:
+            raise ValueError(
+                f"sigma must be a scalar or one value per row of x, got shape "
+                f"{sigma.shape} for {x.shape[0]} rows"
+            )
+        if not valid:
             raise ValueError("sigma must be finite and >= 0")
-        sigma = np.broadcast_to(sigma, x.shape[:1])
-        s2 = self.variances[None, :] + (sigma * sigma)[:, None]
-        if not np.all(s2 > 0.0):
+        s2 = self.variances + sigma * sigma
+        if not (s2 > 0.0).all():
             raise ValueError(
                 "v_k + sigma^2 is 0: a zero-variance component has no density at sigma = 0"
             )
         xc = x - self._centroid
-        sq = np.einsum("nd,nd->n", xc, xc)[:, None] - 2.0 * (xc @ self._centred.T)
-        sq = np.maximum(sq + self._centred_sq, 0.0)
-        joint = -0.5 * (self.dim * np.log(2.0 * np.pi * s2) + sq / s2) + self._log_weights
-        top = np.max(joint, axis=1, keepdims=True)
-        return joint - top, top, s2
+        joint = xc @ self._centred.T
+        # Element by element the same operations, in the same order, as
+        # -0.5 * (dim ln(2 pi s2) + max(|xc|^2 - 2 prod + |mu_c|^2, 0) / s2) + ln w.
+        joint *= 2.0
+        np.subtract(np.einsum("nd,nd->n", xc, xc)[:, None], joint, out=joint)
+        joint += self._centred_sq
+        np.maximum(joint, 0.0, out=joint)
+        joint /= s2
+        joint += self.dim * np.log(2.0 * np.pi * s2)
+        joint *= -0.5
+        joint += self._log_weights
+        # A row maximum is exact in any order.  Over a (K, n) copy it is K - 1
+        # whole-row maxima instead of n reductions of K entries each.
+        top = np.ascontiguousarray(joint.T).max(axis=0)[:, None]
+        joint -= top
+        return joint, top, s2
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
@@ -231,22 +256,34 @@ class GaussianMixture:
         This is the global minimizer of the denoising-score-matching objective
         and serves as the stand-in for a trained denoiser.  ``sigma`` is a
         scalar or one value per row of a batched ``x``; rows at sigma = 0 are
-        noiseless and return x unchanged.
+        noiseless and return x unchanged.  ``x`` is never written, and is
+        copied only when some row is at sigma = 0.
         """
         x = np.asarray(x, dtype=np.float64)
-        out = np.atleast_2d(x).copy()
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), out.shape[:1])
+        batch = np.atleast_2d(x)
+        sigma = np.asarray(sigma, dtype=np.float64)
         # NaN, negative and inf rows are noisy here, so _log_joint rejects them.
         noisy = sigma != 0.0
-        # A slice when every row is noisy, so that the batch is not gathered.
-        rows = slice(None) if noisy.all() else noisy
-        shifted, _, s2 = self._log_joint(out[rows], sigma[rows])
-        resp = np.exp(shifted)
-        resp /= np.sum(resp, axis=1, keepdims=True)
+        if noisy.all():
+            out = self._noisy_posterior_mean(batch, sigma)
+        else:
+            noisy = np.broadcast_to(noisy, batch.shape[:1])
+            out = batch.copy()
+            out[noisy] = self._noisy_posterior_mean(
+                batch[noisy], np.broadcast_to(sigma, noisy.shape)[noisy]
+            )
+        return out[0] if x.ndim == 1 else out
+
+    def _noisy_posterior_mean(self, x, sigma):
+        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array."""
+        shifted, _, s2 = self._log_joint(x, sigma)
+        resp = np.exp(shifted, out=shifted)
+        resp /= resp.sum(axis=1, keepdims=True)
         # r_k s_k, the share of x that component k keeps (see _log_joint).
         kept = resp * (self.variances / s2)
-        out[rows] = np.sum(kept, axis=1, keepdims=True) * out[rows] + (resp - kept) @ self.means
-        return out[0] if x.ndim == 1 else out
+        out = kept.sum(axis=1, keepdims=True) * x
+        out += (resp - kept) @ self.means
+        return out
 
 
 class GaussianMixtureDenoiser:
@@ -304,12 +341,14 @@ def make_sigma_schedule(sigma_max=80.0, sigma_min=0.002, n_steps=50, rho=7.0):
     sigma_i = (sigma_max^(1/rho) + i/(n-1) * (sigma_min^(1/rho)
     - sigma_max^(1/rho)))^rho for i < n, sigma_n = 0.
     """
+    if not sigma_max < math.inf:
+        raise ValueError(f"sigma_max must be finite, got {sigma_max!r}")
     if not (sigma_max > sigma_min > 0.0):
         raise ValueError("need sigma_max > sigma_min > 0")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be an integer >= 1")
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho!r}")
     if n_steps == 1:
         body = np.array([sigma_max])
     else:
@@ -338,15 +377,22 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (x_i - D^w(x_i; sigma_i)) /
     sigma_i, returning the state at sigma = 0.  ``guidance`` is the one CFG
     strength w of the whole chain, a finite number; ``x_init`` must be
-    finite.  The chain is a pure function of (x_init, schedule, cond,
-    guidance).
+    finite, and a final state that is not finite (a denoiser returned NaN or
+    inf, or the chain overflowed) raises ValueError.  The chain is a pure
+    function of (x_init, schedule, cond, guidance).
+
+    Each step's (x_i - D) * (sigma_{i+1} - sigma_i) / sigma_i is formed in one
+    new array, which then takes x_i in place and becomes x_{i+1}: a denoiser
+    may keep the x it was given, so no state is written once a denoiser has
+    seen it.  Neither ``x_init`` nor an array a denoiser returned is ever
+    written.
     """
     number = isinstance(guidance, (int, float, np.integer, np.floating))
     if not (number and math.isfinite(guidance)):
         raise ValueError(f"guidance must be one finite number, got {guidance!r}")
     w = float(guidance)
     sig = schedule.sigmas
-    x = np.array(x_init, dtype=np.float64, copy=True)
+    x = np.asarray(x_init, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x_init must be finite")
     for i in range(schedule.n_steps):
@@ -357,7 +403,15 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
         # the unconditional evaluation keeps that path bitwise identical.
         if w != 1.0:
             d_val = cfg_combine(d_val, denoiser(x, s_cur, None), w)
-        x = x + (s_next - s_cur) * (x - d_val) / s_cur
+        step = x - d_val
+        step *= s_next - s_cur
+        step /= s_cur
+        step += x
+        x = step
+    if not np.isfinite(x).all():
+        raise ValueError(
+            "sampled state is not finite: a denoiser returned NaN or inf, or the chain overflowed"
+        )
     return x
 
 

@@ -240,6 +240,15 @@ class TestAnalyticDenoiser:
         with pytest.raises(ValueError):
             GaussianMixture([], np.zeros((0, 1)), [])
 
+    def test_means_not_k_by_dim_rejected(self):
+        with pytest.raises(ValueError, match=r"means must be a \(K, dim\) array, got shape \(1, 2, 2\)"):
+            GaussianMixture([1.0], np.zeros((1, 2, 2)), [1.0])
+
+    def test_sigma_per_row_shape_rejected(self):
+        mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.1, 0.1])
+        with pytest.raises(ValueError, match="one value per row of x, got shape \\(3,\\) for 2 rows"):
+            mix.posterior_mean(np.zeros((2, 1)), np.array([0.5, 0.5, 0.5]))
+
 
 def dense_log_joint(mix, x, sigma):
     """The (n, K, dim) difference formula, kept as the reference for the library's."""
@@ -333,6 +342,149 @@ class TestDenseOracle:
         assert peak < n * k * d * 8
 
 
+def reference_log_joint(mix, x, sigma):
+    """The log-joint as the library built it before it worked in place, kept as the
+    bitwise reference: fresh (n, K) arrays for sigma^2, the distances and the joint."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), x.shape[:1])
+    s2 = mix.variances[None, :] + (sigma * sigma)[:, None]
+    xc = x - mix._centroid
+    sq = np.einsum("nd,nd->n", xc, xc)[:, None] - 2.0 * (xc @ mix._centred.T)
+    sq = np.maximum(sq + mix._centred_sq, 0.0)
+    joint = -0.5 * (mix.dim * np.log(2.0 * np.pi * s2) + sq / s2) + mix._log_weights
+    top = np.max(joint, axis=1, keepdims=True)
+    return joint - top, top, s2
+
+
+def reference_log_marginal(mix, x, sigma):
+    shifted, top, _ = reference_log_joint(mix, x, sigma)
+    return top[:, 0] + np.log(np.sum(np.exp(shifted), axis=1))
+
+
+def reference_posterior_mean(mix, x, sigma):
+    """The posterior mean as the library computed it on a copy of x, kept as the
+    bitwise reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.atleast_2d(x).copy()
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), out.shape[:1])
+    noisy = sigma != 0.0
+    rows = slice(None) if noisy.all() else noisy
+    shifted, _, s2 = reference_log_joint(mix, out[rows], sigma[rows])
+    resp = np.exp(shifted)
+    resp /= np.sum(resp, axis=1, keepdims=True)
+    kept = resp * (mix.variances / s2)
+    out[rows] = np.sum(kept, axis=1, keepdims=True) * out[rows] + (resp - kept) @ mix.means
+    return out[0] if x.ndim == 1 else out
+
+
+def reference_ddim_sample(denoiser, schedule, x_init, cond=None, guidance=1.0):
+    """The Euler loop with fresh temporaries per step, kept as the bitwise reference."""
+    x = np.array(x_init, dtype=np.float64, copy=True)
+    sig = schedule.sigmas
+    for i in range(schedule.n_steps):
+        s_cur, s_next = sig[i], sig[i + 1]
+        d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
+        if guidance != 1.0:
+            d_val = cfg_combine(d_val, denoiser(x, s_cur, None), guidance)
+        x = x + (s_next - s_cur) * (x - d_val) / s_cur
+    return x
+
+
+def benchmark_sized_mixtures(k, seed=1):
+    """A k-component conditional mixture and a 2k-component null one in 256 dimensions,
+    with 64 start points at sigma 80, as in the sampling benchmark."""
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((2 * k, 256))
+    variances = np.full(2 * k, 0.2)
+    weights = rng.uniform(0.5, 1.5, 2 * k)
+    cond = GaussianMixture(weights[:k], means[:k], variances[:k])
+    null = GaussianMixture(weights, means, variances)
+    return cond, null, 80.0 * rng.standard_normal((64, 256))
+
+
+class Recorder:
+    """A denoiser that keeps every x it is passed and every array it returns, each
+    with its bytes at that time."""
+
+    def __init__(self, denoiser):
+        self.denoiser = denoiser
+        self.seen = []
+
+    def __call__(self, x, sigma, cond=None):
+        out = self.denoiser(x, sigma, cond)
+        self.seen += [(x, x.tobytes()), (out, out.tobytes())]
+        return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBitwiseAgainstReference:
+    """The in-place posterior and Euler step against the code they replaced."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("sigma", [80.0, 1.5, 0.002])
+    def test_benchmark_size(self, k, sigma):
+        _, mix, x = benchmark_sized_mixtures(k)
+        x = x * (sigma / 80.0) + mix.means[np.arange(64) % mix.n_components]
+        shifted, top, s2 = mix._log_joint(x, sigma)
+        want_shifted, want_top, want_s2 = reference_log_joint(mix, x, sigma)
+        assert same_bits(shifted, want_shifted) and same_bits(top, want_top)
+        assert same_bits(np.broadcast_to(s2, want_s2.shape).copy(), want_s2)
+        assert same_bits(mix.posterior_mean(x, sigma), reference_posterior_mean(mix, x, sigma))
+
+    def test_per_row_sigma(self):
+        _, mix, x = benchmark_sized_mixtures(16, seed=2)
+        sigma = np.resize(make_sigma_schedule().sigmas[:-1], 64)
+        assert same_bits(mix.posterior_mean(x, sigma), reference_posterior_mean(mix, x, sigma))
+        assert same_bits(mix._log_joint(x, sigma)[0], reference_log_joint(mix, x, sigma)[0])
+
+    def test_some_rows_at_sigma_zero(self):
+        _, mix, x = benchmark_sized_mixtures(8, seed=3)
+        sigma = np.where(np.arange(64) % 3 == 0, 0.0, 0.7)
+        got = mix.posterior_mean(x, sigma)
+        assert same_bits(got, reference_posterior_mean(mix, x, sigma))
+        assert same_bits(got[::3], x[::3])
+
+    def test_one_point(self):
+        _, mix, x = benchmark_sized_mixtures(8, seed=4)
+        got = mix.posterior_mean(x[5], 2.5)
+        assert same_bits(got, reference_posterior_mean(mix, x[5], 2.5))
+        assert got.shape == (256,)
+
+    @given(mixture_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_batches(self, case):
+        mix, x, sigma = case
+        assert same_bits(mix.posterior_mean(x, sigma), reference_posterior_mean(mix, x, sigma))
+        assert same_bits(mix.log_marginal(x, sigma), reference_log_marginal(mix, x, sigma))
+
+    def test_guided_chain(self):
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        sched = make_sigma_schedule()
+        got = ddim_sample(den, sched, cond="obj", guidance=2.9, x_init=x0)
+        want = reference_ddim_sample(
+            lambda x, s, c=None: reference_posterior_mean(den.mixtures[c], x, s),
+            sched, x0, cond="obj", guidance=2.9)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("guidance", [1.0, 2.9])
+    def test_inputs_never_written(self, guidance):
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        x_init = x0[:8].copy()
+        before = x_init.tobytes()
+        den = Recorder(GaussianMixtureDenoiser({"obj": cond, None: null}))
+        out = ddim_sample(den, make_sigma_schedule(n_steps=12), cond="obj",
+                          guidance=guidance, x_init=x_init)
+        assert x_init.tobytes() == before
+        assert len(den.seen) == (2 if guidance == 1.0 else 4) * 12
+        for array, bits in den.seen:
+            assert array.tobytes() == bits
+            assert array is not out
+
+
 class TestDsmLoss:
     def test_posterior_mean_beats_perturbed(self):
         # Optimality of the posterior mean: a fixed additive offset must
@@ -411,6 +563,19 @@ class TestSigmaSchedule:
         with pytest.raises(ValueError):
             SigmaSchedule(np.array([2.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"rho": math.nan}, "rho"), ({"rho": math.inf}, "rho"), ({"rho": 0.0}, "rho"),
+         ({"rho": -2.0}, "rho"), ({"sigma_max": math.inf}, "sigma_max"),
+         ({"sigma_max": math.nan}, "sigma_max")],
+        ids=["rho-nan", "rho-inf", "rho-zero", "rho-negative", "sigma_max-inf", "sigma_max-nan"],
+    )
+    def test_bad_argument_named(self, kwargs, name):
+        # Warnings are errors here, so a check that runs after the power law
+        # has warned about NaN would not be reached.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_sigma_schedule(**kwargs)
+
 
 class TestDdimSample:
     def test_single_step_zero_denoiser(self):
@@ -469,6 +634,19 @@ class TestDdimSample:
         sched = make_sigma_schedule(10.0, 0.01, 2)
         with pytest.raises(ValueError, match="guidance"):
             ddim_sample(den, sched, x_init=np.zeros(1), guidance=[1.0, 2.0])
+
+    def test_nan_denoiser_rejected(self):
+        with pytest.raises(ValueError, match="sampled state is not finite"):
+            ddim_sample(lambda x, s, c=None: np.full_like(x, math.nan),
+                        make_sigma_schedule(10.0, 0.01, 5), x_init=np.ones((3, 2)))
+
+    def test_overflowing_chain_rejected(self):
+        # numpy's overflow warnings are errors under this suite; they are
+        # silenced so that the sampler's own check is what reports.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="sampled state is not finite"):
+            ddim_sample(lambda x, s, c=None: -1e300 * x,
+                        make_sigma_schedule(10.0, 0.01, 5), x_init=np.ones((3, 2)))
 
 
 class TestCfgCombine:
