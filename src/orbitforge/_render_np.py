@@ -105,6 +105,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import ImageBundle, node_gradient, sdf_to_density
+from .sg import norm3
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -291,8 +292,9 @@ def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
         near = (-0.5 + lo * spacing - origin) / dirs
         far = (-0.5 + hi * spacing - origin) / dirs
     # fmin/fmax skip the NaN of a ray that runs along a face plane.
-    t_a = np.maximum(t0, np.max(np.fmin(near, far), axis=1))
-    t_b = np.minimum(t1, np.min(np.fmax(near, far), axis=1))
+    enter, leave = np.fmin(near, far), np.fmax(near, far)
+    t_a = np.maximum(t0, np.maximum(np.maximum(enter[:, 0], enter[:, 1]), enter[:, 2]))
+    t_b = np.minimum(t1, np.minimum(np.minimum(leave[:, 0], leave[:, 1]), leave[:, 2]))
     rays = np.flatnonzero(t_a < t_b)
     t0, dt = t0[rays], dt[rays]
     first = np.maximum(np.floor((t_a[rays] - t0) / dt) - 1, 0).astype(np.int64)
@@ -321,7 +323,7 @@ def _sdf_samples(grid, origin, dirs, t, dt):
 def _unit_normals(grid, gvec):
     """Signed unit normals from field gradients; +z where the gradient vanishes."""
     sign = 1.0 if grid.kind == "sdf" else -1.0  # along an SDF's gradient, against a density's
-    norms = np.linalg.norm(gvec, axis=-1)
+    norms = norm3(gvec)
     normals = sign * gvec / np.maximum(norms, 1e-20)[..., None]
     normals[norms < 1e-12] = (0.0, 0.0, 1.0)
     return normals

@@ -8,13 +8,14 @@ strengths of an orbit come from ``GuidanceSchedule``.  A Gaussian-mixture
 data distribution has a closed-form optimal denoiser,
 ``GaussianMixture.posterior_mean``, which ``GaussianMixtureDenoiser`` serves
 per conditioning token and the test suite uses to verify the sampler without
-any trained network.
+any trained network; its ``guided`` gives a CFG step's blend in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping, Optional
 
 import numpy as np
@@ -177,15 +178,23 @@ class GaussianMixture:
         noise = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * noise
 
+    def _followed_by(self, other):
+        """This mixture's components then ``other``'s around one centroid, each block with its
+        own log-weights (renormalising the union would only round them), and the split."""
+        if other is self:  # w D - (w - 1) D = D needs no table
+            return self, None
+        union = GaussianMixture(*(np.concatenate([getattr(self, name), getattr(other, name)])
+                                  for name in ("weights", "means", "variances")))
+        union._log_weights = np.concatenate([self._log_weights, other._log_weights])
+        return union, self.n_components
+
     def _log_joint(self, x, sigma):
         """ln(w_k N(x; mu_k, (v_k + sigma^2) I)) per row of x and component k.
 
-        ``x`` is one point or an (n, dim) batch; ``sigma`` is a scalar or one
-        value per row and must be finite and >= 0, with every v_k + sigma^2
-        above 0 (a zero-variance component has no density at sigma = 0).
-        Returns the (n, K) log-joint shifted by its row maximum, that (n, 1)
-        maximum and s2 = v + sigma^2: a (K,) vector for a scalar sigma and
-        (n, K) for one sigma per row.
+        ``x`` is one point or an (n, dim) batch; ``sigma`` is a scalar or one value per row
+        and must be finite and >= 0, with every v_k + sigma^2 above 0 (a zero-variance
+        component has no density at sigma = 0).  Returns the unshifted (n, K) log-joint
+        and s2 = v + sigma^2: (K,) for a scalar sigma and (n, K) for one sigma per row.
 
         No (n, K, dim) array is built.  The squared distances come from one
         (n, dim) @ (dim, K) product, taken around the centroid c of the means:
@@ -238,16 +247,13 @@ class GaussianMixture:
         joint += self.dim * np.log(2.0 * np.pi * s2)
         joint *= -0.5
         joint += self._log_weights
-        # A row maximum is exact in any order.  Over a (K, n) copy it is K - 1
-        # whole-row maxima instead of n reductions of K entries each.
-        top = np.ascontiguousarray(joint.T).max(axis=0)[:, None]
-        joint -= top
-        return joint, top, s2
+        return joint, s2
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
-        shifted, top, _ = self._log_joint(x, sigma)
-        out = top[:, 0] + np.log(np.sum(np.exp(shifted), axis=1))
+        joint, _ = self._log_joint(x, sigma)
+        top = _shift_rows(joint)
+        out = top[:, 0] + np.log(np.sum(np.exp(joint), axis=1))
         return out if np.asarray(x).ndim > 1 else float(out[0])
 
     def posterior_mean(self, x, sigma):
@@ -259,26 +265,36 @@ class GaussianMixture:
         noiseless and return x unchanged.  ``x`` is never written, and is
         copied only when some row is at sigma = 0.
         """
+        return self._posterior_mean(x, sigma)
+
+    def _posterior_mean(self, x, sigma, split=None, w=1.0):
         x = np.asarray(x, dtype=np.float64)
         batch = np.atleast_2d(x)
         sigma = np.asarray(sigma, dtype=np.float64)
         # NaN, negative and inf rows are noisy here, so _log_joint rejects them.
         noisy = sigma != 0.0
         if noisy.all():
-            out = self._noisy_posterior_mean(batch, sigma)
+            out = self._noisy_posterior_mean(batch, sigma, split, w)
         else:
             noisy = np.broadcast_to(noisy, batch.shape[:1])
             out = batch.copy()
             out[noisy] = self._noisy_posterior_mean(
-                batch[noisy], np.broadcast_to(sigma, noisy.shape)[noisy]
+                batch[noisy], np.broadcast_to(sigma, noisy.shape)[noisy], split, w
             )
         return out[0] if x.ndim == 1 else out
 
-    def _noisy_posterior_mean(self, x, sigma):
-        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array."""
-        shifted, _, s2 = self._log_joint(x, sigma)
-        resp = np.exp(shifted, out=shifted)
-        resp /= resp.sum(axis=1, keepdims=True)
+    def _noisy_posterior_mean(self, x, sigma, split=None, w=1.0):
+        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array.  With ``split``
+        it is w D_A + (1 - w) D_B of components A = [:split] and B = [split:], each block's
+        softmax shifted by its own row maximum (a shared one could underflow it to 0/0)."""
+        resp, s2 = self._log_joint(x, sigma)
+        blocks = (((resp, 1.0),) if split is None
+                  else ((resp[:, :split], w), (resp[:, split:], 1.0 - w)))
+        for block, scale in blocks:  # the log-joint becomes the responsibilities in place
+            _shift_rows(block)
+            np.exp(block, out=block)
+            block /= block.sum(axis=1, keepdims=True)
+            block *= scale
         # r_k s_k, the share of x that component k keeps (see _log_joint).
         kept = resp * (self.variances / s2)
         out = kept.sum(axis=1, keepdims=True) * x
@@ -286,24 +302,48 @@ class GaussianMixture:
         return out
 
 
+def _shift_rows(joint):
+    """Subtract each row's maximum from the (n, K) ``joint`` in place and return them, (n, 1):
+    over a (K, n) copy that is K - 1 whole-row maxima, exact in any order."""
+    top = np.ascontiguousarray(joint.T).max(axis=0)[:, None]
+    joint -= top
+    return top
+
+
 class GaussianMixtureDenoiser:
     """Conditional analytic denoiser: an opaque token selects the mixture.
 
     The ``None`` token is the designated null/unconditional path used by
-    classifier-free guidance.
+    classifier-free guidance; ``guided`` reads one table per token built here, its
+    components then the null one's, so ``mixtures`` (of one dim) is read-only.
     """
 
     def __init__(self, mixtures: Mapping[Hashable, GaussianMixture]):
         if not mixtures:
             raise ValueError("need at least one mixture")
-        self.mixtures = dict(mixtures)
+        if len(dims := sorted({m.dim for m in mixtures.values()})) > 1:
+            raise ValueError(f"every mixture must have the same dim, got dims {dims}")
+        self.mixtures = MappingProxyType(dict(mixtures))
+        null = self.mixtures.get(None)
+        self._guided = {t: m._followed_by(null) for t, m in mixtures.items() if null is not None}
+
+    def _lookup(self, table, token):
+        try:
+            return table[token]
+        except KeyError:
+            raise ValueError(f"no mixture registered for token {token!r}") from None
 
     def __call__(self, x, sigma, cond=None):
-        try:
-            mixture = self.mixtures[cond]
-        except KeyError:
-            raise ValueError(f"no mixture registered for token {cond!r}") from None
-        return mixture.posterior_mean(x, sigma)
+        return self._lookup(self.mixtures, cond).posterior_mean(x, sigma)
+
+    def guided(self, x, sigma, cond, w):
+        """w D_cond - (w - 1) D_null at (x, sigma) from one log-joint and one output product:
+        ``cfg_combine`` of the two calls up to rounding.  ``x`` is never written."""
+        if not math.isfinite(w):
+            raise ValueError(f"guidance must be finite, got {w!r}")
+        self._lookup(self.mixtures, None)  # named error when there is no null token
+        union, split = self._lookup(self._guided, cond)
+        return union._posterior_mean(x, sigma, split, w)
 
 
 @dataclass(frozen=True)
@@ -368,7 +408,8 @@ def cfg_combine(d_cond, d_uncond, w):
             f"conditional {d_cond.shape} and unconditional {d_uncond.shape} "
             "predictions must have the same shape"
         )
-    return w * d_cond - (w - 1.0) * d_uncond
+    out = w * d_cond
+    return np.subtract(out, (w - 1.0) * d_uncond, out=out)
 
 
 def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
@@ -379,7 +420,8 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     strength w of the whole chain, a finite number; ``x_init`` must be
     finite, and a final state that is not finite (a denoiser returned NaN or
     inf, or the chain overflowed) raises ValueError.  The chain is a pure
-    function of (x_init, schedule, cond, guidance).
+    function of (x_init, schedule, cond, guidance).  At w != 1 a ``GaussianMixtureDenoiser``
+    gives D^w in one ``guided`` call, any other callable in two joined by ``cfg_combine``.
 
     Each step's (x_i - D) * (sigma_{i+1} - sigma_i) / sigma_i is formed in one
     new array, which then takes x_i in place and becomes x_{i+1}: a denoiser
@@ -398,11 +440,13 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     for i in range(schedule.n_steps):
         s_cur = sig[i]
         s_next = sig[i + 1]
-        d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
-        # At w = 1 guidance degenerates to the conditional prediction; skipping
-        # the unconditional evaluation keeps that path bitwise identical.
-        if w != 1.0:
-            d_val = cfg_combine(d_val, denoiser(x, s_cur, None), w)
+        # At w = 1 D^w is the conditional prediction alone, bit for bit.
+        if w == 1.0:
+            d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
+        elif isinstance(denoiser, GaussianMixtureDenoiser):
+            d_val = denoiser.guided(x, s_cur, cond, w)
+        else:
+            d_val = cfg_combine(denoiser(x, s_cur, cond), denoiser(x, s_cur, None), w)
         step = x - d_val
         step *= s_next - s_cur
         step /= s_cur

@@ -104,10 +104,22 @@ class Envmap:
         )
 
 
+def sum3(p):
+    """``np.sum(p, axis=-1)`` over a last axis of length 3, with its bits: left to right from
+    +0.0, column by column, which is 15-30 times faster than NumPy's reduction there."""
+    return p[..., 0] + p[..., 1] + p[..., 2] + 0.0
+
+
+def norm3(v):
+    """``np.linalg.norm(v, axis=-1)`` over a last axis of length 3, with its bits."""
+    return np.sqrt(sum3(v * v))
+
+
 def _check_unit(x, name="direction"):
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if x.shape[-1:] != (3,):
+        raise ValueError(f"{name} must have a last axis of length 3, got shape {x.shape}")
+    if np.any(np.abs(norm3(x) - 1.0) > 1e-6):
         raise ValueError(f"{name} must be unit length (tolerance 1e-6)")
     return x
 
@@ -294,7 +306,7 @@ def _fit_gradients(axes, sharp, amps, normals, albedo, target, light, ws, w):
     projected onto the tangent plane, as each step renormalizes the axis; the log-sharpness
     one is s_j (mu_j . g_j - a_j (cols r)_j)."""
     resid = albedo * light[:, None] - target
-    r = (2.0 / resid.size) * np.sum(albedo * resid, axis=1)
+    r = (2.0 / resid.size) * sum3(albedo * resid)
     g_amp = ws[2] @ r
     np.multiply(_log_slope_over_d(ws, w), ws[2], out=w)
     w *= r

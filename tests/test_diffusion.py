@@ -20,6 +20,7 @@ from orbitforge.diffusion import (
     make_sigma_schedule,
     score_from_denoiser,
 )
+from orbitforge.diffusion import _shift_rows
 
 
 class TestPrecondition:
@@ -428,7 +429,8 @@ class TestBitwiseAgainstReference:
     def test_benchmark_size(self, k, sigma):
         _, mix, x = benchmark_sized_mixtures(k)
         x = x * (sigma / 80.0) + mix.means[np.arange(64) % mix.n_components]
-        shifted, top, s2 = mix._log_joint(x, sigma)
+        shifted, s2 = mix._log_joint(x, sigma)
+        top = _shift_rows(shifted)
         want_shifted, want_top, want_s2 = reference_log_joint(mix, x, sigma)
         assert same_bits(shifted, want_shifted) and same_bits(top, want_top)
         assert same_bits(np.broadcast_to(s2, want_s2.shape).copy(), want_s2)
@@ -438,7 +440,9 @@ class TestBitwiseAgainstReference:
         _, mix, x = benchmark_sized_mixtures(16, seed=2)
         sigma = np.resize(make_sigma_schedule().sigmas[:-1], 64)
         assert same_bits(mix.posterior_mean(x, sigma), reference_posterior_mean(mix, x, sigma))
-        assert same_bits(mix._log_joint(x, sigma)[0], reference_log_joint(mix, x, sigma)[0])
+        shifted, _ = mix._log_joint(x, sigma)
+        _shift_rows(shifted)
+        assert same_bits(shifted, reference_log_joint(mix, x, sigma)[0])
 
     def test_some_rows_at_sigma_zero(self):
         _, mix, x = benchmark_sized_mixtures(8, seed=3)
@@ -461,10 +465,15 @@ class TestBitwiseAgainstReference:
         assert same_bits(mix.log_marginal(x, sigma), reference_log_marginal(mix, x, sigma))
 
     def test_guided_chain(self):
+        """The two-call route of a plain callable against the reference loop, bit for bit.
+
+        A ``GaussianMixtureDenoiser`` itself takes the one-pass ``guided`` route, which
+        reorders the arithmetic; ``TestGuidedPass`` holds that route to this one."""
         cond, null, x0 = benchmark_sized_mixtures(8)
         den = GaussianMixtureDenoiser({"obj": cond, None: null})
         sched = make_sigma_schedule()
-        got = ddim_sample(den, sched, cond="obj", guidance=2.9, x_init=x0)
+        got = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
+                          guidance=2.9, x_init=x0)
         want = reference_ddim_sample(
             lambda x, s, c=None: reference_posterior_mean(den.mixtures[c], x, s),
             sched, x0, cond="obj", guidance=2.9)
@@ -483,6 +492,155 @@ class TestBitwiseAgainstReference:
         for array, bits in den.seen:
             assert array.tobytes() == bits
             assert array is not out
+
+
+def guided_oracle(cond, null, x, sigma, w):
+    """w D_cond - (w - 1) D_null from two separate posterior means."""
+    return w * cond.posterior_mean(x, sigma) - (w - 1.0) * null.posterior_mean(x, sigma)
+
+
+def assert_close_to(got, want, rtol=1e-12):
+    assert got.shape == want.shape and np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class CountingDenoiser(GaussianMixtureDenoiser):
+    """Counts its plain and its guided calls."""
+
+    def __init__(self, mixtures):
+        super().__init__(mixtures)
+        self.calls = {"plain": 0, "guided": 0}
+
+    def __call__(self, x, sigma, cond=None):
+        self.calls["plain"] += 1
+        return super().__call__(x, sigma, cond)
+
+    def guided(self, x, sigma, cond, w):
+        self.calls["guided"] += 1
+        return super().guided(x, sigma, cond, w)
+
+
+class TestGuidedPass:
+    """``GaussianMixtureDenoiser.guided`` against two posterior means and ``cfg_combine``."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("sigma", [80.0, 1.5, 0.002])
+    @pytest.mark.parametrize("w", [0.0, 1.95, 2.9])
+    def test_benchmark_size(self, k, sigma, w):
+        cond, null, x = benchmark_sized_mixtures(k)
+        x = x * (sigma / 80.0) + null.means[np.arange(64) % null.n_components]
+        got = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", w)
+        assert_close_to(got, guided_oracle(cond, null, x, sigma, w))
+
+    @pytest.mark.parametrize("w", [0.0, 1.95, 2.9])
+    def test_per_row_sigma(self, w):
+        cond, null, x = benchmark_sized_mixtures(16, seed=2)
+        sigma = np.resize(make_sigma_schedule().sigmas, 64)  # every 51st row at sigma = 0
+        x = x * (sigma / 80.0)[:, None] + null.means[np.arange(64) % null.n_components]
+        got = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", w)
+        assert_close_to(got, guided_oracle(cond, null, x, sigma, w))
+        assert same_bits(got[50], x[50])
+
+    @pytest.mark.parametrize("w", [0.0, 1.95, 2.9])
+    def test_on_a_null_only_component(self, w):
+        # Every conditional component is about 1e3 nats below the null block's
+        # maximum here: under one maximum shared by both blocks the conditional
+        # responsibilities would underflow to 0/0.
+        cond, null, _ = benchmark_sized_mixtures(8)
+        x = null.means[8:].copy()
+        got = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, 0.002, "obj", w)
+        assert_close_to(got, guided_oracle(cond, null, x, 0.002, w))
+
+    def test_one_point(self):
+        cond, null, x = benchmark_sized_mixtures(8, seed=4)
+        got = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x[5], 2.5, "obj", 2.9)
+        assert got.shape == (256,)
+        assert_close_to(got, guided_oracle(cond, null, x[5], 2.5, 2.9))
+
+    @given(mixture_batches(), st.sampled_from([0.0, 1.95, 2.9]))
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_batches(self, case, w):
+        cond, x, sigma = case
+        rng = np.random.default_rng(0)
+        null = GaussianMixture(
+            np.concatenate([cond.weights, rng.uniform(0.1, 1.0, 2)]),
+            np.concatenate([cond.means, cond.means[:1] + rng.standard_normal((2, cond.dim))]),
+            np.concatenate([cond.variances, [0.2, 0.2]]),
+        )
+        got = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", w)
+        want = guided_oracle(cond, null, x, sigma, w)
+        # Scaled by the larger term, since guidance may cancel most of it.
+        scale = max(np.max(np.abs(w * cond.posterior_mean(x, sigma))), np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_null_token_is_its_own_posterior_mean(self):
+        # w D_null - (w - 1) D_null = D_null: the null token needs no table.
+        cond, null, x = benchmark_sized_mixtures(8)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        assert same_bits(den.guided(x, 1.5, None, 2.9), den(x, 1.5, None))
+
+    def test_never_writes_x(self):
+        cond, null, x = benchmark_sized_mixtures(8)
+        before = x.tobytes()
+        sigma = np.where(np.arange(64) % 3 == 0, 0.0, 0.7)
+        out = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", 2.9)
+        assert x.tobytes() == before and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("guidance", [0.0, 2.9])
+    def test_sampler_routes_agree(self, guidance):
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        den = CountingDenoiser({"obj": cond, None: null})
+        sched = make_sigma_schedule()
+        got = ddim_sample(den, sched, cond="obj", guidance=guidance, x_init=x0)
+        assert den.calls == {"plain": 0, "guided": sched.n_steps}
+        want = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
+                           guidance=guidance, x_init=x0)
+        assert_close_to(got, want)
+
+    def test_unit_guidance_takes_the_plain_call(self):
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        den = CountingDenoiser({"obj": cond, None: null})
+        ddim_sample(den, make_sigma_schedule(n_steps=5), cond="obj", x_init=x0)
+        assert den.calls == {"plain": 5, "guided": 0}
+
+    def test_without_null_token_rejected(self):
+        mix = GaussianMixture([1.0], [[0.0]], [1.0])
+        den = GaussianMixtureDenoiser({"obj": mix})
+        with pytest.raises(ValueError, match="no mixture registered for token None"):
+            den.guided(np.zeros((2, 1)), 1.0, "obj", 2.0)
+        with pytest.raises(ValueError, match="no mixture registered for token None"):
+            ddim_sample(den, make_sigma_schedule(10.0, 0.01, 3), cond="obj", guidance=2.0,
+                        x_init=np.zeros((2, 1)))
+
+    def test_unknown_token_rejected(self):
+        mix = GaussianMixture([1.0], [[0.0]], [1.0])
+        den = GaussianMixtureDenoiser({None: mix})
+        with pytest.raises(ValueError, match="no mixture registered for token 'obj'"):
+            den.guided(np.zeros((2, 1)), 1.0, "obj", 2.0)
+
+    def test_non_finite_guidance_rejected(self):
+        mix = GaussianMixture([1.0], [[0.0]], [1.0])
+        den = GaussianMixtureDenoiser({None: mix, "obj": mix})
+        with pytest.raises(ValueError, match="guidance must be finite"):
+            den.guided(np.zeros((2, 1)), 1.0, "obj", math.nan)
+
+
+class TestDenoiserInputs:
+    def test_unequal_dims_rejected(self):
+        with pytest.raises(ValueError, match=r"same dim, got dims \[1, 2\]"):
+            GaussianMixtureDenoiser({
+                "obj": GaussianMixture([1.0], [[0.0, 0.0]], [1.0]),
+                None: GaussianMixture([1.0], [[0.0]], [1.0]),
+            })
+
+    def test_mixtures_read_only(self):
+        mix = GaussianMixture([1.0], [[0.0]], [1.0])
+        source = {None: mix}
+        den = GaussianMixtureDenoiser(source)
+        with pytest.raises(TypeError):
+            den.mixtures["obj"] = mix
+        source["obj"] = mix  # the caller's mapping is not the denoiser's
+        assert list(den.mixtures) == [None]
 
 
 class TestDsmLoss:
@@ -667,6 +825,12 @@ class TestCfgCombine:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cfg_combine(np.zeros(2), np.zeros(3), 1.5)
+
+    @pytest.mark.parametrize("w", [0.0, 1.0, 1.95, 2.9, -0.5])
+    def test_bits_of_the_formula(self, w):
+        rng = np.random.default_rng(5)
+        dc, du = rng.standard_normal((2, 64, 256)) * 100.0
+        assert same_bits(cfg_combine(dc, du, w), w * dc - (w - 1.0) * du)
 
 
 class TestGuidanceSchedule:

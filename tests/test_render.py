@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orbitforge import _render_np
 from orbitforge.grid import SceneGrid, node_gradient
@@ -261,6 +262,81 @@ class TestIntersectUnitCube:
         for got, want in zip(intersect_unit_cube(origin, dirs), expected):
             assert np.shape(got) == shape[:-1]
             np.testing.assert_array_equal(np.ravel(got), want.reshape(-1)[:np.size(got)])
+
+
+def reference_intersect_unit_cube(origin, dirs):
+    """The slab test as it was with NumPy's reductions over the last axis, kept as the
+    bitwise reference."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = (-0.5 - origin) / dirs
+        hi = (0.5 - origin) / dirs
+    near = np.where(np.isnan(lo), -np.inf, np.minimum(lo, hi))
+    far = np.where(np.isnan(hi), np.inf, np.maximum(lo, hi))
+    parallel_outside = (np.abs(dirs) < 1e-15) & (np.abs(origin) > 0.5)
+    near = np.where(parallel_outside, np.inf, near)
+    t0 = np.maximum(np.max(near, axis=-1), 0.0)
+    t1 = np.min(far, axis=-1)
+    return t0, t1, t1 > t0
+
+
+def reference_box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
+    """``_render_np._box_strata``'s interval as it was with NumPy's reductions, kept as the
+    bitwise reference."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        near = (-0.5 + lo * spacing - origin) / dirs
+        far = (-0.5 + hi * spacing - origin) / dirs
+    t_a = np.maximum(t0, np.max(np.fmin(near, far), axis=1))
+    t_b = np.minimum(t1, np.min(np.fmax(near, far), axis=1))
+    rays = np.flatnonzero(t_a < t_b)
+    t0, dt = t0[rays], dt[rays]
+    first = np.maximum(np.floor((t_a[rays] - t0) / dt) - 1, 0).astype(np.int64)
+    stop = np.minimum(np.ceil((t_b[rays] - t0) / dt) + 1, n_samples).astype(np.int64)
+    return rays, first, stop
+
+
+# Slab-test coordinates: on and off the faces, signed zeros, infinities and NaN.
+SLAB_FLOATS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-16, -1e-300, np.inf, -np.inf, np.nan]),
+)
+
+
+class TestSlabTestsAgainstReductions:
+    """The slab tests take their maxima and minima over the three axes column by column;
+    each must keep the bits of the NumPy reduction it replaced."""
+
+    @given(origin=hnp.arrays(np.float64, 3, elements=SLAB_FLOATS),
+           dirs=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
+                           elements=SLAB_FLOATS))
+    @settings(max_examples=150, deadline=None)
+    def test_intersect_unit_cube(self, origin, dirs):
+        """Equal bits, with NaN matched as NaN: NumPy's reduction returns its own quiet NaN,
+        while the chained form passes on the NaN it met, whose sign bit may differ.  A ray
+        whose t0 is NaN is a miss either way."""
+        for got, want in zip(intersect_unit_cube(origin, dirs),
+                             reference_intersect_unit_cube(origin, dirs)):
+            nan = want != want
+            assert np.array_equal(got != got, nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @given(origin=hnp.arrays(np.float64, 3, elements=SLAB_FLOATS),
+           dirs=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)),
+                           elements=SLAB_FLOATS),
+           box=st.tuples(st.integers(0, 7), st.integers(1, 8)).filter(lambda b: b[0] < b[1]))
+    @settings(max_examples=150, deadline=None)
+    def test_box_strata(self, origin, dirs, box):
+        m = len(dirs)
+        t0, t1, dt = np.zeros(m), np.full(m, 2.0), np.full(m, 2.0 / SAMPLES)
+        lo, hi = np.full(3, box[0]), np.full(3, box[1])
+        rays, (rows, j) = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi,
+                                                 1.0 / 8)
+        want_rays, first, stop = reference_box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo,
+                                                      hi, 1.0 / 8)
+        assert rays.tobytes() == want_rays.tobytes()
+        counts = np.bincount(rows, minlength=len(rays))
+        assert counts.tobytes() == (stop - first).tobytes()
+        assert j.tobytes() == np.concatenate(
+            [np.arange(a, b) for a, b in zip(first, stop)] + [np.zeros(0, np.int64)]).tobytes()
 
 
 class TestNoRayHitsTheCube:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from orbitforge import sg
@@ -28,6 +31,37 @@ from orbitforge.sg import (
 )
 
 EZ = np.array([0.0, 0.0, 1.0])
+
+# Finite values across the exponent range, signed zeros, infinities and NaN.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-310, 1e200, np.inf, -np.inf, np.nan]),
+)
+
+
+class TestLengthThreeReductions:
+    """``sum3`` and ``norm3`` against the NumPy reductions they replace, bit for bit."""
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=EDGE_FLOATS))
+    @settings(max_examples=300, deadline=None)
+    def test_rows(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sg.sum3(v).tobytes() == np.sum(v, axis=-1).tobytes()
+            assert sg.norm3(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    @given(hnp.arrays(np.float64, 3, elements=EDGE_FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_vector(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.float64(sg.sum3(v)).tobytes() == np.sum(v, axis=-1).tobytes()
+            assert np.float64(sg.norm3(v)).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        assert not np.signbit(sg.sum3(np.array([[-0.0, -0.0, -0.0]])))[0]
+
+    def test_direction_not_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="last axis of length 3"):
+            sg_eval(SphericalGaussian(EZ, 2.0, 1.0), np.array([0.6, 0.8]))
 
 
 def random_lobe(rng, s_lo=0.5, s_hi=50.0):
