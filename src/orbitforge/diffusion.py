@@ -3,12 +3,13 @@
 Implements denoiser preconditioning, log-normal noise-level sampling,
 power-law sigma schedules, and a deterministic Euler sampler for the
 probability-flow ODE with one classifier-free-guidance strength per call
-(``ddim_sample``); per-frame
-strengths of an orbit come from ``GuidanceSchedule``.  A Gaussian-mixture
-data distribution has a closed-form optimal denoiser,
-``GaussianMixture.posterior_mean``, which ``GaussianMixtureDenoiser`` serves
-per conditioning token and the test suite uses to verify the sampler without
-any trained network; its ``guided`` gives a CFG step's blend in one pass.
+(``ddim_sample``); per-frame strengths of an orbit come from
+``GuidanceSchedule``.  A Gaussian-mixture data distribution has a closed-form
+optimal denoiser, ``GaussianMixture.posterior_mean``, which
+``GaussianMixtureDenoiser`` serves per conditioning token and the test suite
+uses to verify the sampler without any trained network; its ``guided`` gives a
+CFG step's blend in one pass.  That blend is affine in x, so ``ddim_sample``
+steps a mixture's chain from its factors, one output product per step.
 """
 
 from __future__ import annotations
@@ -209,13 +210,7 @@ class GaussianMixture:
         means offset up to 100 and sigma from 80 down to 0.002, to 1e-10 of
         the largest |entry| on ``log_marginal`` and 1e-12 on ``posterior_mean``.
         """
-        shape = np.shape(x)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(
-                f"x must be one point or an (n, dim) batch with the mixture's dim "
-                f"{self.dim}, got shape {shape}"
-            )
+        x = self._batch(x)
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.ndim == 0:
             sigma = float(sigma)
@@ -230,11 +225,31 @@ class GaussianMixture:
             )
         if not valid:
             raise ValueError("sigma must be finite and >= 0")
+        s2, log_norm = self._sigma_terms(sigma)
+        return self._joint(x, s2, log_norm), s2
+
+    def _batch(self, x):
+        """``x`` as an (n, dim) float64 batch (a view where it can be), or a named error."""
+        shape = np.shape(x)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(
+                f"x must be one point or an (n, dim) batch with the mixture's dim "
+                f"{self.dim}, got shape {shape}"
+            )
+        return x
+
+    def _sigma_terms(self, sigma):
+        """The log-joint's sigma-only terms s2 = v + sigma^2 and dim ln(2 pi s2), one row each."""
         s2 = self.variances + sigma * sigma
         if not (s2 > 0.0).all():
             raise ValueError(
                 "v_k + sigma^2 is 0: a zero-variance component has no density at sigma = 0"
             )
+        return s2, self.dim * np.log(2.0 * np.pi * s2)
+
+    def _joint(self, x, s2, log_norm):
+        """The unshifted (n, K) log-joint of a checked batch from its ``_sigma_terms``."""
         xc = x - self._centroid
         joint = xc @ self._centred.T
         # Element by element the same operations, in the same order, as
@@ -244,10 +259,10 @@ class GaussianMixture:
         joint += self._centred_sq
         np.maximum(joint, 0.0, out=joint)
         joint /= s2
-        joint += self.dim * np.log(2.0 * np.pi * s2)
+        joint += log_norm
         joint *= -0.5
         joint += self._log_weights
-        return joint, s2
+        return joint
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
@@ -284,22 +299,29 @@ class GaussianMixture:
         return out[0] if x.ndim == 1 else out
 
     def _noisy_posterior_mean(self, x, sigma, split=None, w=1.0):
-        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array.  With ``split``
-        it is w D_A + (1 - w) D_B of components A = [:split] and B = [split:], each block's
+        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array."""
+        joint, s2 = self._log_joint(x, sigma)
+        kappa, q = self._factors(joint, self.variances / s2, split, w)
+        out = kappa * x
+        out += q @ self.means
+        return out
+
+    def _factors(self, joint, keep, split=None, w=1.0):
+        """The posterior mean kappa x + Q @ means as (kappa, Q), (n, 1) and (n, K), from the
+        log-joint, which becomes Q in place, and keep = v / s2.  With ``split`` it is
+        w D_A + (1 - w) D_B of components A = [:split] and B = [split:], each block's
         softmax shifted by its own row maximum (a shared one could underflow it to 0/0)."""
-        resp, s2 = self._log_joint(x, sigma)
-        blocks = (((resp, 1.0),) if split is None
-                  else ((resp[:, :split], w), (resp[:, split:], 1.0 - w)))
+        blocks = (((joint, 1.0),) if split is None
+                  else ((joint[:, :split], w), (joint[:, split:], 1.0 - w)))
         for block, scale in blocks:  # the log-joint becomes the responsibilities in place
             _shift_rows(block)
             np.exp(block, out=block)
             block /= block.sum(axis=1, keepdims=True)
             block *= scale
         # r_k s_k, the share of x that component k keeps (see _log_joint).
-        kept = resp * (self.variances / s2)
-        out = kept.sum(axis=1, keepdims=True) * x
-        out += (resp - kept) @ self.means
-        return out
+        kept = joint * keep
+        joint -= kept
+        return kept.sum(axis=1, keepdims=True), joint
 
 
 def _shift_rows(joint):
@@ -316,6 +338,8 @@ class GaussianMixtureDenoiser:
     The ``None`` token is the designated null/unconditional path used by
     classifier-free guidance; ``guided`` reads one table per token built here, its
     components then the null one's, so ``mixtures`` (of one dim) is read-only.
+    ``ddim_sample`` reads the same tables, or the conditional mixture alone at
+    w = 1, and calls neither ``guided`` nor the denoiser itself.
     """
 
     def __init__(self, mixtures: Mapping[Hashable, GaussianMixture]):
@@ -341,9 +365,13 @@ class GaussianMixtureDenoiser:
         ``cfg_combine`` of the two calls up to rounding.  ``x`` is never written."""
         if not math.isfinite(w):
             raise ValueError(f"guidance must be finite, got {w!r}")
-        self._lookup(self.mixtures, None)  # named error when there is no null token
-        union, split = self._lookup(self._guided, cond)
+        union, split = self._union(cond)
         return union._posterior_mean(x, sigma, split, w)
+
+    def _union(self, cond):
+        """The table ``guided`` reads for ``cond`` and its split."""
+        self._lookup(self.mixtures, None)  # named error when there is no null token
+        return self._lookup(self._guided, cond)
 
 
 @dataclass(frozen=True)
@@ -415,19 +443,20 @@ def cfg_combine(d_cond, d_uncond, w):
 def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     """Deterministic Euler integration of the probability-flow ODE.
 
-    x_{i+1} = x_i + (sigma_{i+1} - sigma_i) * (x_i - D^w(x_i; sigma_i)) /
-    sigma_i, returning the state at sigma = 0.  ``guidance`` is the one CFG
-    strength w of the whole chain, a finite number; ``x_init`` must be
-    finite, and a final state that is not finite (a denoiser returned NaN or
-    inf, or the chain overflowed) raises ValueError.  The chain is a pure
-    function of (x_init, schedule, cond, guidance).  At w != 1 a ``GaussianMixtureDenoiser``
-    gives D^w in one ``guided`` call, any other callable in two joined by ``cfg_combine``.
+    x_{i+1} = x_i + c_i (x_i - D^w(x_i; sigma_i)) with c_i = (sigma_{i+1} - sigma_i) /
+    sigma_i, returning the state at sigma = 0.  ``guidance`` is the one CFG strength w of
+    the whole chain, a finite number; ``x_init`` must be finite and is never written, and a
+    final state that is not finite (a denoiser returned NaN or inf, or the chain overflowed)
+    raises ValueError.  The chain is a pure function of (x_init, schedule, cond, guidance).
 
-    Each step's (x_i - D) * (sigma_{i+1} - sigma_i) / sigma_i is formed in one
-    new array, which then takes x_i in place and becomes x_{i+1}: a denoiser
-    may keep the x it was given, so no state is written once a denoiser has
-    seen it.  Neither ``x_init`` nor an array a denoiser returned is ever
-    written.
+    A ``GaussianMixtureDenoiser`` is not called.  Its D^w(x) = kappa x + Q @ means is
+    affine in x, so a step is x_{i+1} = (kappa (-c_i) + 1 + c_i) x_i + (-c_i Q) @ means: one
+    output product from the mixture's factors, in place on one state array.  The table (the
+    conditional mixture alone at w = 1), the checks and the log-joint's sigma-only terms are
+    taken once per chain; c = -1 at the last step gives a one-step chain D^w's bits.  Any
+    other callable is called once per step at w = 1, where D^w is the conditional prediction
+    alone, bit for bit, and otherwise twice, joined by ``cfg_combine``; as it may keep its x,
+    each step is a new array, and no array a denoiser saw or returned is written.
     """
     number = isinstance(guidance, (int, float, np.integer, np.floating))
     if not (number and math.isfinite(guidance)):
@@ -437,21 +466,34 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     x = np.asarray(x_init, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x_init must be finite")
-    for i in range(schedule.n_steps):
-        s_cur = sig[i]
-        s_next = sig[i + 1]
-        # At w = 1 D^w is the conditional prediction alone, bit for bit.
-        if w == 1.0:
-            d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
-        elif isinstance(denoiser, GaussianMixtureDenoiser):
-            d_val = denoiser.guided(x, s_cur, cond, w)
-        else:
-            d_val = cfg_combine(denoiser(x, s_cur, cond), denoiser(x, s_cur, None), w)
-        step = x - d_val
-        step *= s_next - s_cur
-        step /= s_cur
-        step += x
-        x = step
+    if isinstance(denoiser, GaussianMixtureDenoiser):
+        mix, split = ((denoiser._lookup(denoiser.mixtures, cond), None) if w == 1.0
+                      else denoiser._union(cond))
+        x = x.copy()  # the state, written in place from here on
+        batch = mix._batch(x)
+        s2, log_norm = mix._sigma_terms(sig[:-1, None])
+        keep = mix.variances / s2
+        for i, c in enumerate(((sig[1:] - sig[:-1]) / sig[:-1]).tolist()):
+            kappa, q = mix._factors(mix._joint(batch, s2[i], log_norm[i]), keep[i], split, w)
+            kappa *= -c
+            kappa += 1.0 + c
+            q *= -c
+            batch *= kappa
+            batch += q @ mix.means
+    else:
+        for i in range(schedule.n_steps):
+            s_cur = sig[i]
+            s_next = sig[i + 1]
+            # At w = 1 D^w is the conditional prediction alone, bit for bit.
+            if w == 1.0:
+                d_val = np.asarray(denoiser(x, s_cur, cond), dtype=np.float64)
+            else:
+                d_val = cfg_combine(denoiser(x, s_cur, cond), denoiser(x, s_cur, None), w)
+            step = x - d_val
+            step *= s_next - s_cur
+            step /= s_cur
+            step += x
+            x = step
     if not np.isfinite(x).all():
         raise ValueError(
             "sampled state is not finite: a denoiser returned NaN or inf, or the chain overflowed"

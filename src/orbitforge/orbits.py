@@ -273,15 +273,14 @@ def camera_matrix(camera):
     """
     center = camera.position
     forward = -center / np.linalg.norm(center)
-    up = np.array([0.0, 0.0, 1.0])
-    side = np.cross(forward, up)
+    axis = forward.tolist()
+    side = _cross(axis, (0.0, 0.0, 1.0))
     norm = np.linalg.norm(side)
     if norm < 1e-9:
-        up = np.array([1.0, 0.0, 0.0])
-        side = np.cross(forward, up)
+        side = _cross(axis, (1.0, 0.0, 0.0))
         norm = np.linalg.norm(side)
     right = side / norm
-    down = np.cross(forward, right)
+    down = _cross(axis, right.tolist())
     rot = np.stack([right, down, forward])
     extrinsic = np.eye(4)
     extrinsic[:3, :3] = rot
@@ -291,6 +290,14 @@ def camera_matrix(camera):
         [[f, 0.0, camera.width / 2.0], [0.0, f, camera.height / 2.0], [0.0, 0.0, 1.0]]
     )
     return extrinsic, intrinsic
+
+
+def _cross(a, b):
+    """a x b of two 3-vectors given as floats, component by component: ``np.cross``'s
+    products and differences without its set-up, which costs more than the arithmetic."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def subsample_orbit(full_orbit, start_index):

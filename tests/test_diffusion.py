@@ -467,8 +467,8 @@ class TestBitwiseAgainstReference:
     def test_guided_chain(self):
         """The two-call route of a plain callable against the reference loop, bit for bit.
 
-        A ``GaussianMixtureDenoiser`` itself takes the one-pass ``guided`` route, which
-        reorders the arithmetic; ``TestGuidedPass`` holds that route to this one."""
+        A ``GaussianMixtureDenoiser`` itself takes the factor route, which reorders the
+        arithmetic; ``TestGuidedPass`` holds that route to this one."""
         cond, null, x0 = benchmark_sized_mixtures(8)
         den = GaussianMixtureDenoiser({"obj": cond, None: null})
         sched = make_sigma_schedule()
@@ -586,22 +586,55 @@ class TestGuidedPass:
         out = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", 2.9)
         assert x.tobytes() == before and not np.shares_memory(out, x)
 
-    @pytest.mark.parametrize("guidance", [0.0, 2.9])
+    @pytest.mark.parametrize("guidance", [0.0, 1.0, 1.95, 2.9])
     def test_sampler_routes_agree(self, guidance):
-        cond, null, x0 = benchmark_sized_mixtures(8)
-        den = CountingDenoiser({"obj": cond, None: null})
+        """The factor route of a ``GaussianMixtureDenoiser``, which makes no denoiser call,
+        against the plain-callable route."""
         sched = make_sigma_schedule()
-        got = ddim_sample(den, sched, cond="obj", guidance=guidance, x_init=x0)
-        assert den.calls == {"plain": 0, "guided": sched.n_steps}
-        want = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
-                           guidance=guidance, x_init=x0)
-        assert_close_to(got, want)
+        for k in (8, 16):
+            cond, null, x0 = benchmark_sized_mixtures(k)
+            den = CountingDenoiser({"obj": cond, None: null})
+            got = ddim_sample(den, sched, cond="obj", guidance=guidance, x_init=x0)
+            assert den.calls == {"plain": 0, "guided": 0}
+            want = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
+                               guidance=guidance, x_init=x0)
+            assert_close_to(got, want)
 
     def test_unit_guidance_takes_the_plain_call(self):
+        """At w = 1 the chain reads the conditional mixture alone, as the plain call does,
+        so a denoiser without a null token gives the same bits."""
         cond, null, x0 = benchmark_sized_mixtures(8)
         den = CountingDenoiser({"obj": cond, None: null})
-        ddim_sample(den, make_sigma_schedule(n_steps=5), cond="obj", x_init=x0)
-        assert den.calls == {"plain": 5, "guided": 0}
+        sched = make_sigma_schedule(n_steps=5)
+        got = ddim_sample(den, sched, cond="obj", x_init=x0)
+        assert den.calls == {"plain": 0, "guided": 0}
+        alone = GaussianMixtureDenoiser({"obj": cond})
+        assert same_bits(got, ddim_sample(alone, sched, cond="obj", x_init=x0))
+
+    @pytest.mark.parametrize("w", [0.0, 1.0, 2.9])
+    @pytest.mark.parametrize("sigma", [80.0, 1.5])
+    def test_one_step_chain_is_the_prediction(self, w, sigma):
+        # The last step has c = -1 exactly: a = kappa and -c Q = Q.
+        cond, null, x = benchmark_sized_mixtures(8)
+        x = x * (sigma / 80.0) + null.means[np.arange(64) % null.n_components]
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        got = ddim_sample(den, SigmaSchedule(np.array([sigma, 0.0])), cond="obj",
+                          guidance=w, x_init=x)
+        want = den(x, sigma, "obj") if w == 1.0 else den.guided(x, sigma, "obj", w)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("w", [1.0, 2.9])
+    def test_factor_route_never_writes_x_init(self, w):
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        sched = make_sigma_schedule(n_steps=12)
+        before = x0.tobytes()
+        out = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0)
+        assert x0.tobytes() == before and not np.shares_memory(out, x0)
+        point = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[5])
+        assert x0.tobytes() == before and point.shape == (256,)
+        row = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[5:6])
+        assert same_bits(point, row[0])
 
     def test_without_null_token_rejected(self):
         mix = GaussianMixture([1.0], [[0.0]], [1.0])
@@ -805,6 +838,27 @@ class TestDdimSample:
                 ValueError, match="sampled state is not finite"):
             ddim_sample(lambda x, s, c=None: -1e300 * x,
                         make_sigma_schedule(10.0, 0.01, 5), x_init=np.ones((3, 2)))
+
+
+class TestEulerOrder:
+    """Euler's global error against the closed-form flow of one Gaussian N(mu, v), under
+    which x(sigma) - mu = (x_init - mu) sqrt((v + sigma^2) / (v + sigma_max^2))."""
+
+    @pytest.mark.parametrize("route", ["factors", "plain"])
+    def test_error_halves_per_doubling(self, route):
+        rng = np.random.default_rng(11)
+        mu, v = rng.standard_normal(16), 0.2
+        gm = GaussianMixtureDenoiser({None: GaussianMixture([1.0], [mu], [v])})
+        den = gm if route == "factors" else (lambda x, s, c=None: gm(x, s, c))
+        x_init = 80.0 * rng.standard_normal((8, 16))
+        exact = mu + (x_init - mu) * math.sqrt(v / (v + 80.0**2))
+        errors = np.array([
+            np.max(np.abs(ddim_sample(den, make_sigma_schedule(80.0, n_steps=n),
+                                      x_init=x_init) - exact))
+            for n in (25, 50, 100, 200, 400)
+        ])
+        ratios = errors[:-1] / errors[1:]
+        assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
 
 
 class TestCfgCombine:

@@ -18,6 +18,7 @@ from orbitforge.orbits import (
     static_orbit,
     subsample_orbit,
 )
+from orbitforge.orbits import _cross
 
 
 class TestStaticOrbit:
@@ -215,6 +216,44 @@ class TestCameraMatrix:
         rot = ext[:3, :3]
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0)
+
+    def test_bits_of_the_np_cross_form(self):
+        rng = np.random.default_rng(7)
+        poses = [(e, a) for e in (-90.0, -89.9, 0.0, 89.9, 90.0) for a in (0.0, 37.5, 270.0)]
+        poses += zip(rng.uniform(-90.0, 90.0, 200), rng.uniform(-720.0, 720.0, 200))
+        for elev, azim in poses:
+            cam = Camera(CameraPose(float(elev), float(azim)), float(rng.uniform(0.5, 5.0)))
+            got, want = camera_matrix(cam), reference_camera_matrix(cam)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_cross_bits(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-8, 8, (2000, 1))
+        b = rng.standard_normal((2000, 3))
+        a[::7, 1], b[::5, 2] = -0.0, 0.0  # signed zeros survive as np.cross leaves them
+        for u, v in zip(a, b):
+            assert _cross(u.tolist(), v.tolist()).tobytes() == np.cross(u, v).tobytes()
+
+
+def reference_camera_matrix(camera):
+    """camera_matrix as it was written with np.cross, kept as the bitwise reference."""
+    center = camera.position
+    forward = -center / np.linalg.norm(center)
+    side = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    norm = np.linalg.norm(side)
+    if norm < 1e-9:
+        side = np.cross(forward, np.array([1.0, 0.0, 0.0]))
+        norm = np.linalg.norm(side)
+    right = side / norm
+    rot = np.stack([right, np.cross(forward, right), forward])
+    extrinsic = np.eye(4)
+    extrinsic[:3, :3] = rot
+    extrinsic[:3, 3] = -rot @ center
+    f = camera.focal_px
+    intrinsic = np.array(
+        [[f, 0.0, camera.width / 2.0], [0.0, f, camera.height / 2.0], [0.0, 0.0, 1.0]]
+    )
+    return extrinsic, intrinsic
 
 
 class TestSubsample:
