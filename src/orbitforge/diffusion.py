@@ -1,8 +1,7 @@
 """Continuous-time diffusion machinery with analytic oracles.
 
-Implements denoiser preconditioning, log-normal noise-level sampling,
-power-law sigma schedules, and a deterministic Euler sampler for the
-probability-flow ODE with one classifier-free-guidance strength per call
+Implements power-law sigma schedules and a deterministic Euler sampler for
+the probability-flow ODE with one classifier-free-guidance strength per call
 (``ddim_sample``); per-frame strengths of an orbit come from
 ``GuidanceSchedule``.  A Gaussian-mixture data distribution has a closed-form
 optimal denoiser, ``GaussianMixture.posterior_mean``, which
@@ -17,116 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "Preconditioner",
-    "NoiseLevelDistribution",
-    "NOISE_LEVEL_PRESETS",
     "GaussianMixture",
     "GaussianMixtureDenoiser",
     "GuidanceSchedule",
     "SigmaSchedule",
-    "denoise",
-    "score_from_denoiser",
     "make_sigma_schedule",
     "ddim_sample",
     "cfg_combine",
 ]
-
-PRECONDITIONER_VARIANTS = ("edm-unit-sigma", "sd21-discrete")
-
-
-@dataclass(frozen=True)
-class Preconditioner:
-    """Scaling coefficients of a denoiser D(x; sigma) around a raw network.
-
-    ``edm-unit-sigma`` is the unit-data-variance parameterization:
-    c_skip = 1/(sigma^2+1), c_out = -sigma/sqrt(sigma^2+1),
-    c_in = 1/sqrt(sigma^2+1), c_noise = 0.25*ln(sigma).
-
-    ``sd21-discrete`` keeps the epsilon-style scalings (c_skip = 1,
-    c_out = -sigma) and maps sigma to the index of the nearest entry of
-    ``sigma_table``, which must be a finite, non-empty 1-D array.
-    """
-
-    variant: str = "edm-unit-sigma"
-    sigma_table: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.variant not in PRECONDITIONER_VARIANTS:
-            raise ValueError(f"unknown preconditioner variant {self.variant!r}")
-        if self.variant == "sd21-discrete":
-            # A missing table becomes a 0-d NaN array, which the check rejects.
-            table = np.asarray(self.sigma_table, dtype=np.float64)
-            if table.ndim != 1 or table.size == 0 or not np.isfinite(table).all():
-                raise ValueError("sd21-discrete needs a finite, non-empty 1-D sigma_table")
-            object.__setattr__(self, "sigma_table", table)
-
-    def coefficients(self, sigma):
-        """Return (c_skip, c_out, c_in, c_noise) for a noise level."""
-        sigma = float(sigma)
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        s2p1 = sigma * sigma + 1.0
-        c_in = 1.0 / math.sqrt(s2p1)
-        if self.variant == "edm-unit-sigma":
-            return 1.0 / s2p1, -sigma / math.sqrt(s2p1), c_in, 0.25 * math.log(sigma)
-        return 1.0, -sigma, c_in, float(np.argmin(np.abs(sigma - self.sigma_table)))
-
-
-def denoise(precond, raw_net, x, sigma, cond=None):
-    """Evaluate the preconditioned denoiser.
-
-    D(x; sigma) = c_skip * x + c_out * F(c_in * x; c_noise, cond) where F is
-    the raw network ``raw_net(x_scaled, c_noise, cond)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c_skip, c_out, c_in, c_noise = precond.coefficients(sigma)
-    fx = np.asarray(raw_net(c_in * x, c_noise, cond), dtype=np.float64)
-    if fx.shape != x.shape:
-        raise ValueError(f"raw network output shape {fx.shape} != input {x.shape}")
-    return c_skip * x + c_out * fx
-
-
-def score_from_denoiser(d_value, x, sigma):
-    """Score of the noised marginal: (D(x; sigma) - x) / sigma^2."""
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d_value = np.asarray(d_value, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if d_value.shape != x.shape:
-        raise ValueError("denoiser output and x must have the same shape")
-    return (d_value - x) / (sigma * sigma)
-
-
-@dataclass(frozen=True)
-class NoiseLevelDistribution:
-    """Log-normal distribution over noise levels: ln(sigma) ~ N(mean, std^2)."""
-
-    p_mean: float
-    p_std: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p_mean) and 0.0 <= self.p_std < math.inf):
-            raise ValueError("p_mean must be finite and p_std finite and >= 0")
-
-    def sample(self, rng, size=None):
-        z = rng.standard_normal(size)
-        return np.exp(self.p_mean + self.p_std * z)
-
-
-# Training-stage presets for the log-sigma distribution.
-NOISE_LEVEL_PRESETS: Mapping[str, NoiseLevelDistribution] = {
-    "image-finetune": NoiseLevelDistribution(-1.2, 1.0),
-    "video-pretrain-hires": NoiseLevelDistribution(0.0, 1.0),
-    "text-to-video-hq": NoiseLevelDistribution(0.5, 1.4),
-    "image-to-video-base": NoiseLevelDistribution(0.7, 1.6),
-    "image-to-video-hq": NoiseLevelDistribution(1.0, 1.6),
-}
 
 
 class GaussianMixture:

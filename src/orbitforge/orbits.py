@@ -20,22 +20,14 @@ __all__ = [
     "Camera",
     "DynamicOrbitParams",
     "DEFAULT_FOV_DEG",
-    "STATIC_ELEVATION_RANGE_DEG",
     "static_orbit",
     "dynamic_orbit",
-    "sine_elevation_orbit",
-    "pose_embedding",
     "adaptive_distance",
     "camera_matrix",
     "camera_position",
-    "subsample_orbit",
-    "save_orbit",
-    "load_orbit",
 ]
 
 DEFAULT_FOV_DEG = 33.8
-# Dataset-generation default for the conditioning elevation of static orbits.
-STATIC_ELEVATION_RANGE_DEG = (-5.0, 30.0)
 _MAX_ELEVATION_DEG = 89.0
 
 
@@ -109,17 +101,19 @@ class DynamicOrbitParams:
     max_elevation_deg: float = _MAX_ELEVATION_DEG
 
     def __post_init__(self):
-        if self.n_sinusoids < 1:
-            raise ValueError("need at least one sinusoid")
-        if self.period_range[0] < 1 or self.period_range[1] < self.period_range[0]:
-            raise ValueError("period range must be whole numbers with lo <= hi")
+        n, half, (lo_p, hi_p) = self.n_sinusoids, self.smooth_half_width, self.period_range
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_sinusoids must be an integer >= 1, got {n!r}")
+        if not all(isinstance(p, (int, np.integer)) for p in (lo_p, hi_p)) or not 1 <= lo_p <= hi_p:
+            raise ValueError(f"period_range must be integers 1 <= lo <= hi, got {(lo_p, hi_p)}")
         lo_a, hi_a = self.amplitude_range_deg
         if not 0.0 <= lo_a <= hi_a < math.inf:
             raise ValueError("amplitude range must be finite with 0 <= lo <= hi")
         if not 0.0 <= self.max_elevation_deg <= 90.0:
             raise ValueError("max elevation must be in [0, 90]")
-        if not 0.0 <= self.azimuth_noise_std_deg < math.inf or self.smooth_half_width < 0:
-            raise ValueError("noise std must be finite and >= 0, smoothing half-width >= 0")
+        if not (0.0 <= self.azimuth_noise_std_deg < math.inf
+                and isinstance(half, (int, np.integer)) and half >= 0):
+            raise ValueError("noise std must be finite and >= 0, smooth_half_width an integer >= 0")
 
 
 def _circular_smooth(values, half_width):
@@ -180,35 +174,6 @@ def dynamic_orbit(rng, k, cond_pose, params=DynamicOrbitParams()):
     azim = cond_pose.azimuth_deg + i * step + noise
     poses = tuple(CameraPose(e, a) for e, a in zip(elev, azim))
     return Orbit(poses)
-
-
-def sine_elevation_orbit(k, cond_pose, amplitude_deg):
-    """One sine period of elevation so top and bottom views are covered."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError("orbit needs an integer k >= 2 frames")
-    cond_e = float(cond_pose.elevation_deg)
-    if abs(cond_e) + amplitude_deg > _MAX_ELEVATION_DEG:
-        raise ValueError("conditioning elevation plus amplitude exceeds 89 degrees")
-    i = np.arange(k)
-    elev = cond_e + amplitude_deg * np.sin(2.0 * np.pi * i / k)
-    azim = cond_pose.azimuth_deg + i * 360.0 / k
-    return Orbit(tuple(CameraPose(e, a) for e, a in zip(elev, azim)))
-
-
-def pose_embedding(angle_deg, dim, base_freq=1.0):
-    """Interleaved sin/cos embedding at powers-of-two frequencies.
-
-    With an integer base frequency the embedding is exactly 360-degree
-    periodic.
-    """
-    if not isinstance(dim, (int, np.integer)) or dim <= 0 or dim % 2 != 0:
-        raise ValueError("embedding dim must be an even positive integer")
-    theta = math.radians(angle_deg)
-    freqs = base_freq * (2.0 ** np.arange(dim // 2))
-    out = np.empty(dim)
-    out[0::2] = np.sin(freqs * theta)
-    out[1::2] = np.cos(freqs * theta)
-    return out
 
 
 def adaptive_distance(bbox_half_extent, fov_deg=DEFAULT_FOV_DEG, margin=1.1):
@@ -298,32 +263,3 @@ def _cross(a, b):
     a0, a1, a2 = a
     b0, b1, b2 = b
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def subsample_orbit(full_orbit, start_index):
-    """Every 4th frame of an 84-frame orbit: a 21-frame orbit."""
-    if len(full_orbit) != 84:
-        raise ValueError("subsampling expects an 84-frame orbit")
-    if not isinstance(start_index, (int, np.integer)) or not 0 <= start_index < 84:
-        raise ValueError("start_index must be an integer in [0, 84)")
-    idx = [(start_index + 4 * j) % 84 for j in range(21)]
-    return Orbit(tuple(full_orbit.poses[i] for i in idx))
-
-
-def save_orbit(path, orbit):
-    """One `elevation azimuth` pair per line, degrees, 9 significant digits."""
-    with open(path, "w") as fh:
-        for p in orbit.poses:
-            fh.write(f"{p.elevation_deg:.9g} {p.azimuth_deg:.9g}\n")
-
-
-def load_orbit(path):
-    poses = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            e, a = line.split()
-            poses.append(CameraPose(float(e), float(a)))
-    return Orbit(tuple(poses))

@@ -36,8 +36,6 @@ __all__ = [
     "EnvmapFitError",
     "mc_sphere_integral",
     "fibonacci_sphere",
-    "save_envmap",
-    "load_envmap",
 ]
 
 # Spherical-Gaussian approximation of the clamped-cosine shading kernel.
@@ -408,25 +406,3 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
     if return_history:
         return fitted, np.asarray(history)
     return fitted
-
-
-def save_envmap(path, envmap):
-    """One lobe per line: mu_x mu_y mu_z sharpness amplitude."""
-    with open(path, "w") as fh:
-        for g in envmap.lobes:
-            fh.write(
-                f"{g.axis[0]:.9g} {g.axis[1]:.9g} {g.axis[2]:.9g} "
-                f"{g.sharpness:.9g} {g.amplitude:.9g}\n"
-            )
-
-
-def load_envmap(path):
-    lobes = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            mx, my, mz, s, a = (float(v) for v in line.split())
-            lobes.append(SphericalGaussian(np.array([mx, my, mz]), s, a))
-    return Envmap(tuple(lobes))

@@ -7,131 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.diffusion import (
-    NOISE_LEVEL_PRESETS,
     GaussianMixture,
     GaussianMixtureDenoiser,
     GuidanceSchedule,
-    NoiseLevelDistribution,
-    Preconditioner,
     SigmaSchedule,
     cfg_combine,
     ddim_sample,
-    denoise,
     make_sigma_schedule,
-    score_from_denoiser,
 )
 from orbitforge.diffusion import _shift_rows
 
 
-class TestPrecondition:
-    def test_unit_sigma_at_one(self):
-        c_skip, c_out, c_in, c_noise = Preconditioner("edm-unit-sigma").coefficients(1.0)
-        assert c_skip == pytest.approx(0.5)
-        assert c_out == pytest.approx(-1.0 / math.sqrt(2.0))
-        assert c_in == pytest.approx(1.0 / math.sqrt(2.0))
-        assert c_noise == pytest.approx(0.0)
-
-    def test_c_noise_quarter_log(self):
-        _, _, _, c_noise = Preconditioner("edm-unit-sigma").coefficients(math.exp(4.0))
-        assert c_noise == pytest.approx(1.0)
-
-    @given(st.floats(min_value=-3.0, max_value=3.0))
-    @settings(max_examples=100, deadline=None)
-    def test_skip_out_identity(self, log10_sigma):
-        sigma = 10.0**log10_sigma
-        c_skip, c_out, _, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
-        assert abs(c_skip + c_out * c_out - 1.0) < 1e-12
-
-    def test_identity_over_random_sigmas(self):
-        rng = np.random.default_rng(0)
-        sigmas = 10.0 ** rng.uniform(-3, 3, size=1000)
-        for sigma in sigmas:
-            c_skip, c_out, _, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
-            assert abs(c_skip + c_out * c_out - 1.0) < 1e-12
-
-    def test_both_variants_share_c_in(self):
-        table = np.linspace(0.01, 100.0, 50)
-        for sigma in (0.05, 1.0, 7.3):
-            _, _, cin_a, _ = Preconditioner("edm-unit-sigma").coefficients(sigma)
-            _, _, cin_b, _ = Preconditioner("sd21-discrete", table).coefficients(sigma)
-            assert cin_a == pytest.approx(1.0 / math.sqrt(sigma**2 + 1.0))
-            assert cin_b == cin_a
-
-    def test_sd21_nearest_index(self):
-        table = np.array([0.1, 1.0, 10.0])
-        _, c_out, _, c_noise = Preconditioner("sd21-discrete", table).coefficients(1.2)
-        assert c_noise == 1.0
-        assert c_out == pytest.approx(-1.2)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            Preconditioner("edm-unit-sigma").coefficients(0.0)
-        with pytest.raises(ValueError):
-            Preconditioner("edm-unit-sigma").coefficients(-1.0)
-
-    def test_discrete_requires_table(self):
-        """The table is checked when the preconditioner is built, not on first use."""
-        with pytest.raises(ValueError):
-            Preconditioner("sd21-discrete")
-
-    @pytest.mark.parametrize(
-        "table", [np.zeros(0), np.ones((2, 2))], ids=["empty", "2-d"]
-    )
-    def test_bad_table_rejected_at_construction(self, table):
-        with pytest.raises(ValueError):
-            Preconditioner("sd21-discrete", table)
-
-
-class TestDenoise:
-    def test_zero_network(self):
-        p = Preconditioner("edm-unit-sigma")
-        v = np.array([1.0, -2.0, 3.0])
-        out = denoise(p, lambda x, cn, c: np.zeros_like(x), v, 1.0)
-        np.testing.assert_allclose(out, 0.5 * v)
-
-    def test_identity_network_cancels_at_sigma_one(self):
-        p = Preconditioner("edm-unit-sigma")
-        v = np.array([0.3, 0.7])
-        # c_skip + c_out*c_in = 0.5 - 0.5 = 0 at sigma = 1.
-        out = denoise(p, lambda x, cn, c: x, v, 1.0)
-        np.testing.assert_allclose(out, np.zeros_like(v), atol=1e-15)
-
-    def test_small_sigma_approaches_x(self):
-        p = Preconditioner("edm-unit-sigma")
-        v = np.array([1.0, 2.0])
-        out = denoise(p, lambda x, cn, c: np.ones_like(x), v, 1e-8)
-        np.testing.assert_allclose(out, v, atol=1e-7)
-
-    def test_shape_mismatch_rejected(self):
-        p = Preconditioner("edm-unit-sigma")
-        with pytest.raises(ValueError):
-            denoise(p, lambda x, cn, c: x[:1], np.ones(3), 1.0)
-
-
 class TestScore:
-    def test_fixed_point_gives_zero(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(score_from_denoiser(x, x, 2.0), 0.0)
-
-    def test_offset_recovers_gradient(self):
-        x = np.array([0.5, -0.5])
-        g = np.array([3.0, -1.0])
-        sigma = 0.7
-        out = score_from_denoiser(x + sigma**2 * g, x, sigma)
-        np.testing.assert_allclose(out, g)
-
-    def test_standard_normal_example(self):
-        # N(0,1) data at sigma=1, x=2: posterior mean is 1, score is -1.
-        mix = GaussianMixture([1.0], [[0.0]], [1.0])
-        d = mix.posterior_mean(np.array([2.0]), 1.0)
-        np.testing.assert_allclose(d, [1.0])
-        np.testing.assert_allclose(score_from_denoiser(d, np.array([2.0]), 1.0), [-1.0])
-
-    def test_sigma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            score_from_denoiser(np.ones(2), np.ones(2), 0.0)
-
     def test_matches_finite_difference_log_density(self):
+        # Tweedie: (D - x) / sigma^2 is the score of the noised marginal.
         # Independent oracle: central differences of the closed-form
         # log-marginal of random 2-D mixtures.
         rng = np.random.default_rng(7)
@@ -146,7 +35,7 @@ class TestScore:
             sigma = float(rng.uniform(0.3, 2.0))
             x = rng.normal(0.0, 1.5, 2)
             d = mix.posterior_mean(x, sigma)
-            score = score_from_denoiser(d, x, sigma)
+            score = (d - x) / (sigma * sigma)
             fd = np.zeros(2)
             for a in range(2):
                 e = np.zeros(2)
@@ -682,12 +571,11 @@ class TestDsmLoss:
         # strictly increase the paired MC estimate of the denoising loss
         # E[lambda(sigma) ||D(x0 + n; sigma) - x0||^2], lambda = (1 + sigma^2) / sigma^2.
         mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.05, 0.05])
-        dist = NoiseLevelDistribution(-0.5, 0.8)
 
         def loss(offset, seed, n_draws=10_000):
             rng = np.random.default_rng(seed)
             x0 = mix.sample(rng, n_draws)
-            sigma = dist.sample(rng, n_draws)
+            sigma = np.exp(-0.5 + 0.8 * rng.standard_normal(n_draws))
             x = x0 + sigma[:, None] * rng.standard_normal(x0.shape)
             sq = np.sum((mix.posterior_mean(x, sigma) + offset - x0) ** 2, axis=1)
             return np.mean((1.0 + sigma * sigma) / (sigma * sigma) * sq)
@@ -700,31 +588,6 @@ class TestDsmLoss:
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
         assert diffs.mean() > 2.0 * se
-
-
-class TestSampleSigma:
-    def test_degenerate_distribution(self):
-        rng = np.random.default_rng(0)
-        out = NoiseLevelDistribution(0.0, 0.0).sample(rng, 100)
-        np.testing.assert_array_equal(out, 1.0)
-
-    def test_lognormal_median(self):
-        rng = np.random.default_rng(1)
-        out = NOISE_LEVEL_PRESETS["image-finetune"].sample(rng, 100_000)
-        med = np.median(out)
-        assert abs(med - math.exp(-1.2)) / math.exp(-1.2) < 0.02
-
-    def test_always_positive(self):
-        rng = np.random.default_rng(2)
-        out = NoiseLevelDistribution(1.0, 1.6).sample(rng, 10_000)
-        assert np.all(out > 0)
-
-    def test_presets(self):
-        assert NOISE_LEVEL_PRESETS["image-finetune"] == NoiseLevelDistribution(-1.2, 1.0)
-        assert NOISE_LEVEL_PRESETS["video-pretrain-hires"].p_mean == 0.0
-        assert NOISE_LEVEL_PRESETS["text-to-video-hq"] == NoiseLevelDistribution(0.5, 1.4)
-        assert NOISE_LEVEL_PRESETS["image-to-video-base"] == NoiseLevelDistribution(0.7, 1.6)
-        assert NOISE_LEVEL_PRESETS["image-to-video-hq"] == NoiseLevelDistribution(1.0, 1.6)
 
 
 class TestSigmaSchedule:
@@ -958,18 +821,12 @@ class TestRejectsNonFinite:
             lambda: GaussianMixture([1.0, math.inf], [[0.0], [1.0]], [1.0, 1.0]),
             lambda: GaussianMixture([1.0], [[math.nan]], [1.0]),
             lambda: GaussianMixture([1.0], [[0.0]], [math.inf]),
-            lambda: NoiseLevelDistribution(math.nan, 1.0),
-            lambda: NoiseLevelDistribution(0.0, math.inf),
             lambda: SigmaSchedule(np.array([80.0, math.nan, 0.0])),
             lambda: SigmaSchedule(np.array([math.inf, 1.0, 0.0])),
             lambda: GuidanceSchedule("triangular", math.nan, 2.0, 5),
             lambda: GuidanceSchedule("triangular", 1.0, math.inf, 5),
-            lambda: Preconditioner("sd21-discrete", np.array([1.0, math.nan])),
-            lambda: Preconditioner().coefficients(math.inf),
-            lambda: Preconditioner().coefficients(math.nan),
             lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.zeros(1), guidance=math.nan),
             lambda: ddim_sample(_DENOISER, _SCHEDULE, x_init=np.array([0.0, math.nan])),
-            lambda: score_from_denoiser(np.ones(2), np.zeros(2), math.nan),
             lambda: _MIXTURE.posterior_mean(np.zeros(1), math.nan),
             lambda: _MIXTURE.posterior_mean(np.zeros((2, 1)), np.array([1.0, math.nan])),
             lambda: _MIXTURE.log_marginal(np.zeros((2, 1)), math.nan),
@@ -977,9 +834,8 @@ class TestRejectsNonFinite:
             lambda: _MIXTURE.log_marginal(np.zeros(1), math.inf),
         ],
         ids=["gm-weight-nan", "gm-weight-inf", "gm-mean-nan", "gm-variance-inf",
-             "p_mean-nan", "p_std-inf", "schedule-nan", "schedule-inf",
-             "guidance-w_min-nan", "guidance-w_max-inf", "sigma-table-nan", "sigma-inf",
-             "sigma-nan", "ddim-guidance-nan", "ddim-x_init-nan", "score-sigma-nan",
+             "schedule-nan", "schedule-inf", "guidance-w_min-nan", "guidance-w_max-inf",
+             "ddim-guidance-nan", "ddim-x_init-nan",
              "gm-denoiser-sigma-nan", "gm-denoiser-row-sigma-nan",
              "log-marginal-sigma-nan", "gm-denoiser-sigma-inf", "log-marginal-sigma-inf"],
     )

@@ -11,12 +11,7 @@ from orbitforge.orbits import (
     adaptive_distance,
     camera_matrix,
     dynamic_orbit,
-    load_orbit,
-    pose_embedding,
-    save_orbit,
-    sine_elevation_orbit,
     static_orbit,
-    subsample_orbit,
 )
 from orbitforge.orbits import _cross
 
@@ -97,46 +92,6 @@ class TestDynamicOrbit:
         smoothed = _circular_smooth(x, 1)
         shifted = _circular_smooth(x + 3.7, 1)
         np.testing.assert_allclose(shifted, smoothed + 3.7, atol=1e-12)
-
-
-class TestSineOrbit:
-    def test_reference_amplitude_30(self):
-        orb = sine_elevation_orbit(21, CameraPose(0.0, 0.0), 30.0)
-        assert orb.elevations.max() == pytest.approx(30.0 * math.sin(2 * math.pi * 5 / 21))
-        assert len(orb) == 21
-
-    def test_starts_at_conditioning_pose(self):
-        cond = CameraPose(12.0, 45.0)
-        orb = sine_elevation_orbit(16, cond, 20.0)
-        assert orb.poses[0] == cond
-
-    def test_peak_at_quarter(self):
-        orb = sine_elevation_orbit(20, CameraPose(5.0, 0.0), 30.0)
-        assert orb.poses[5].elevation_deg == pytest.approx(35.0)
-
-    def test_bound_violation_rejected(self):
-        with pytest.raises(ValueError):
-            sine_elevation_orbit(21, CameraPose(60.0, 0.0), 30.0)
-
-
-class TestPoseEmbedding:
-    def test_zero_angle(self):
-        emb = pose_embedding(0.0, 8)
-        np.testing.assert_array_equal(emb[0::2], 0.0)
-        np.testing.assert_array_equal(emb[1::2], 1.0)
-
-    def test_periodicity(self):
-        for angle in (13.0, 123.4, 359.0):
-            a = pose_embedding(angle, 16)
-            b = pose_embedding(angle + 360.0, 16)
-            np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_two_dim_quarter_turn(self):
-        np.testing.assert_allclose(pose_embedding(90.0, 2, 1.0), [1.0, 0.0], atol=1e-15)
-
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            pose_embedding(0.0, 3)
 
 
 class TestAdaptiveDistance:
@@ -254,47 +209,6 @@ def reference_camera_matrix(camera):
         [[f, 0.0, camera.width / 2.0], [0.0, f, camera.height / 2.0], [0.0, 0.0, 1.0]]
     )
     return extrinsic, intrinsic
-
-
-class TestSubsample:
-    def test_every_fourth_from_zero(self):
-        full = static_orbit(84, 0.0)
-        sub = subsample_orbit(full, 0)
-        assert len(sub) == 21
-        np.testing.assert_allclose(sub.azimuths, np.arange(21) * 4 * 360.0 / 84)
-
-    def test_any_start_gives_21(self):
-        full = static_orbit(84, 3.0)
-        for start in (0, 1, 17, 83):
-            assert len(subsample_orbit(full, start)) == 21
-
-    def test_start_one_indices(self):
-        full = static_orbit(84, 0.0)
-        sub = subsample_orbit(full, 1)
-        expected = [full.poses[(1 + 4 * j) % 84].azimuth_deg for j in range(21)]
-        np.testing.assert_allclose(sub.azimuths, expected)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            subsample_orbit(static_orbit(21, 0.0), 0)
-
-
-class TestOrbitIO:
-    def test_round_trip(self, tmp_path):
-        orb = dynamic_orbit(np.random.default_rng(9), 21, CameraPose(12.0, 0.0))
-        path = tmp_path / "orbit.txt"
-        save_orbit(path, orb)
-        loaded = load_orbit(path)
-        np.testing.assert_allclose(loaded.elevations, orb.elevations, atol=1e-7)
-        np.testing.assert_allclose(loaded.azimuths, orb.azimuths, atol=1e-7)
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        orb = sine_elevation_orbit(21, CameraPose(5.0, 0.0), 30.0)
-        p1 = tmp_path / "a.txt"
-        p2 = tmp_path / "b.txt"
-        save_orbit(p1, orb)
-        save_orbit(p2, load_orbit(p1))
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestPoseValidation:

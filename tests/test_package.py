@@ -1,6 +1,7 @@
 """Every public name and declared entry point of the package resolves."""
 
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -60,20 +61,20 @@ def test_import_loads_no_scipy_sparse():
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: orbits.sine_elevation_orbit(2.5, orbits.CameraPose(0.0, 0.0), 10.0),
-         "integer k"),
         (lambda: orbits.static_orbit(2.5, 10.0), "integer k"),
         (lambda: orbits.dynamic_orbit(np.random.default_rng(0), 2.5,
                                       orbits.CameraPose(0.0, 0.0)), "integer k"),
-        (lambda: orbits.pose_embedding(10.0, dim=4.0), "dim must be"),
-        (lambda: orbits.subsample_orbit(orbits.static_orbit(84, 10.0),
-                                        start_index=2.5), "start_index"),
+        (lambda: orbits.DynamicOrbitParams(n_sinusoids=2.5), "n_sinusoids"),
+        (lambda: orbits.DynamicOrbitParams(n_sinusoids=math.nan), "n_sinusoids"),
+        (lambda: orbits.DynamicOrbitParams(period_range=(1.5, 3)), "period_range"),
+        (lambda: orbits.DynamicOrbitParams(smooth_half_width=1.5), "smooth_half_width"),
         (lambda: sg.default_envmap(n_lobes=2.5), "non-negative integer"),
         (lambda: sg.fibonacci_sphere(np.float64(3.0)), "non-negative integer"),
         (lambda: diffusion.make_sigma_schedule(n_steps=2.5), "n_steps"),
     ],
-    ids=["sine-elevation-k", "static-k", "dynamic-k", "embedding-dim", "subsample-start",
-         "default-envmap-lobes", "fibonacci-n", "sigma-schedule-steps"],
+    ids=["static-k", "dynamic-k", "dynamic-sinusoids", "dynamic-sinusoids-nan",
+         "dynamic-period-range", "dynamic-half-width", "default-envmap-lobes", "fibonacci-n",
+         "sigma-schedule-steps"],
 )
 def test_non_integer_counts_are_rejected(call, match):
     """A count that is not an integer raises a ValueError naming it, in every module."""

@@ -22,9 +22,7 @@ from orbitforge.sg import (
     illum_loss,
     irradiance_basis,
     irradiance_many,
-    load_envmap,
     mc_sphere_integral,
-    save_envmap,
     sg_eval,
     sg_inner_product,
     shade,
@@ -607,17 +605,7 @@ class TestFitEnvmap:
         assert np.all(np.diff(history) <= 1e-15)
 
 
-class TestEnvmapIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        env = Envmap(tuple(random_lobe(rng) for _ in range(24)))
-        path = tmp_path / "env.txt"
-        save_envmap(path, env)
-        loaded = load_envmap(path)
-        assert len(loaded) == 24
-        np.testing.assert_allclose(loaded.axes, env.axes, atol=1e-8)
-        np.testing.assert_allclose(loaded.amplitudes, env.amplitudes, rtol=1e-8)
-
+class TestFibonacciSphere:
     def test_fibonacci_axes_unit(self):
         pts = fibonacci_sphere(24)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
