@@ -60,7 +60,7 @@ class GaussianMixture:
         self.weights = weights / total
         self.means = means
         self.variances = variances
-        # _log_joint's constants, O(K d) each.  A zero weight is ln 0 = -inf:
+        # _joint's constants, O(K d) each.  A zero weight is ln 0 = -inf:
         # that component never carries posterior mass.
         self._centroid = means.mean(axis=0)
         self._centred = means - self._centroid
@@ -77,6 +77,8 @@ class GaussianMixture:
         return self.weights.size
 
     def sample(self, rng, n):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"sample count n must be an integer >= 0, got {n!r}")
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         noise = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * noise
@@ -91,13 +93,32 @@ class GaussianMixture:
         union._log_weights = np.concatenate([self._log_weights, other._log_weights])
         return union, self.n_components
 
-    def _log_joint(self, x, sigma):
-        """ln(w_k N(x; mu_k, (v_k + sigma^2) I)) per row of x and component k.
+    def _batch(self, x):
+        """``x`` as a finite (n, dim) float64 batch (a view where it can be), or a named error."""
+        shape = np.shape(x)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(
+                f"x must be one point or an (n, dim) batch with the mixture's dim "
+                f"{self.dim}, got shape {shape}"
+            )
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        return x
 
-        ``x`` is one point or an (n, dim) batch; ``sigma`` is a scalar or one value per row
-        and must be finite and >= 0, with every v_k + sigma^2 above 0 (a zero-variance
-        component has no density at sigma = 0).  Returns the unshifted (n, K) log-joint
-        and s2 = v + sigma^2: (K,) for a scalar sigma and (n, K) for one sigma per row.
+    def _sigma_terms(self, sigma):
+        """The log-joint's sigma-only terms s2 = v + sigma^2 and dim ln(2 pi s2): (K,) for one
+        sigma, and one row per sigma for the sampler's column of them."""
+        s2 = self.variances + sigma * sigma
+        if not (s2 > 0.0).all():
+            raise ValueError(
+                "v_k + sigma^2 is 0: a zero-variance component has no density at sigma = 0"
+            )
+        return s2, self.dim * np.log(2.0 * np.pi * s2)
+
+    def _joint(self, x, s2, log_norm):
+        """ln(w_k N(x; mu_k, s2_k I)) per row of a checked batch x and component k: the
+        unshifted (n, K) log-joint from the ``_sigma_terms`` s2 = v + sigma^2 and log_norm.
 
         No (n, K, dim) array is built.  The squared distances come from one
         (n, dim) @ (dim, K) product, taken around the centroid c of the means:
@@ -112,46 +133,6 @@ class GaussianMixture:
         means offset up to 100 and sigma from 80 down to 0.002, to 1e-10 of
         the largest |entry| on ``log_marginal`` and 1e-12 on ``posterior_mean``.
         """
-        x = self._batch(x)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if sigma.ndim == 0:
-            sigma = float(sigma)
-            valid = 0.0 <= sigma < math.inf
-        elif sigma.shape in ((1,), x.shape[:1]):
-            valid = np.isfinite(sigma).all() and (sigma >= 0.0).all()
-            sigma = sigma[:, None]
-        else:
-            raise ValueError(
-                f"sigma must be a scalar or one value per row of x, got shape "
-                f"{sigma.shape} for {x.shape[0]} rows"
-            )
-        if not valid:
-            raise ValueError("sigma must be finite and >= 0")
-        s2, log_norm = self._sigma_terms(sigma)
-        return self._joint(x, s2, log_norm), s2
-
-    def _batch(self, x):
-        """``x`` as an (n, dim) float64 batch (a view where it can be), or a named error."""
-        shape = np.shape(x)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(
-                f"x must be one point or an (n, dim) batch with the mixture's dim "
-                f"{self.dim}, got shape {shape}"
-            )
-        return x
-
-    def _sigma_terms(self, sigma):
-        """The log-joint's sigma-only terms s2 = v + sigma^2 and dim ln(2 pi s2), one row each."""
-        s2 = self.variances + sigma * sigma
-        if not (s2 > 0.0).all():
-            raise ValueError(
-                "v_k + sigma^2 is 0: a zero-variance component has no density at sigma = 0"
-            )
-        return s2, self.dim * np.log(2.0 * np.pi * s2)
-
-    def _joint(self, x, s2, log_norm):
-        """The unshifted (n, K) log-joint of a checked batch from its ``_sigma_terms``."""
         xc = x - self._centroid
         joint = xc @ self._centred.T
         # Element by element the same operations, in the same order, as
@@ -167,8 +148,8 @@ class GaussianMixture:
         return joint
 
     def log_marginal(self, x, sigma):
-        """ln p(x; sigma) of the sigma-smoothed mixture (closed form)."""
-        joint, _ = self._log_joint(x, sigma)
+        """ln p(x; sigma) of the sigma-smoothed mixture (closed form) at one noise level."""
+        joint = self._joint(self._batch(x), *self._sigma_terms(_noise_level(sigma)))
         top = _shift_rows(joint)
         out = top[:, 0] + np.log(np.sum(np.exp(joint), axis=1))
         return out if np.asarray(x).ndim > 1 else float(out[0])
@@ -177,36 +158,25 @@ class GaussianMixture:
         """Exact posterior mean E[x0 | x0 + n = x] with n ~ N(0, sigma^2 I).
 
         This is the global minimizer of the denoising-score-matching objective
-        and serves as the stand-in for a trained denoiser.  ``sigma`` is a
-        scalar or one value per row of a batched ``x``; rows at sigma = 0 are
-        noiseless and return x unchanged.  ``x`` is never written, and is
-        copied only when some row is at sigma = 0.
+        and serves as the stand-in for a trained denoiser.  ``sigma`` is one
+        noise level for the whole of ``x``, a finite number >= 0; at sigma = 0
+        the point is noiseless and comes back as a copy of x.  ``x`` is one
+        finite point or an (n, dim) batch, and is never written.
         """
         return self._posterior_mean(x, sigma)
 
     def _posterior_mean(self, x, sigma, split=None, w=1.0):
-        x = np.asarray(x, dtype=np.float64)
-        batch = np.atleast_2d(x)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        # NaN, negative and inf rows are noisy here, so _log_joint rejects them.
-        noisy = sigma != 0.0
-        if noisy.all():
-            out = self._noisy_posterior_mean(batch, sigma, split, w)
-        else:
-            noisy = np.broadcast_to(noisy, batch.shape[:1])
+        batch = self._batch(x)
+        sigma = _noise_level(sigma)
+        if sigma == 0.0:
             out = batch.copy()
-            out[noisy] = self._noisy_posterior_mean(
-                batch[noisy], np.broadcast_to(sigma, noisy.shape)[noisy], split, w
-            )
-        return out[0] if x.ndim == 1 else out
-
-    def _noisy_posterior_mean(self, x, sigma, split=None, w=1.0):
-        """``posterior_mean`` of a batch with no row at sigma = 0, as a new array."""
-        joint, s2 = self._log_joint(x, sigma)
-        kappa, q = self._factors(joint, self.variances / s2, split, w)
-        out = kappa * x
-        out += q @ self.means
-        return out
+        else:
+            s2, log_norm = self._sigma_terms(sigma)
+            kappa, q = self._factors(self._joint(batch, s2, log_norm), self.variances / s2,
+                                     split, w)
+            out = kappa * batch
+            out += q @ self.means
+        return out[0] if np.ndim(x) == 1 else out
 
     def _factors(self, joint, keep, split=None, w=1.0):
         """The posterior mean kappa x + Q @ means as (kappa, Q), (n, 1) and (n, K), from the
@@ -220,10 +190,20 @@ class GaussianMixture:
             np.exp(block, out=block)
             block /= block.sum(axis=1, keepdims=True)
             block *= scale
-        # r_k s_k, the share of x that component k keeps (see _log_joint).
+        # r_k s_k, the share of x that component k keeps (see _joint).
         kept = joint * keep
         joint -= kept
         return kept.sum(axis=1, keepdims=True), joint
+
+
+def _noise_level(sigma):
+    """``sigma`` as one float, finite and >= 0, or a named error: one noise level per call."""
+    if np.ndim(sigma) != 0:
+        raise ValueError(f"sigma must be one number per call, got shape {np.shape(sigma)}")
+    sigma = float(sigma)
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    return sigma
 
 
 def _shift_rows(joint):
@@ -297,9 +277,6 @@ class SigmaSchedule:
     @property
     def n_steps(self):
         return self.sigmas.size - 1
-
-    def __len__(self):
-        return self.sigmas.size
 
     def __getitem__(self, i):
         return float(self.sigmas[i])

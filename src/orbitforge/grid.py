@@ -30,8 +30,8 @@ def sdf_to_density(sdf_value, alpha, beta):
     Monotone decreasing in the SDF; alpha is the interior density and beta
     the transition width.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
     return alpha * expit(-np.asarray(sdf_value, dtype=np.float64) / beta)
 
 
@@ -79,6 +79,8 @@ class SceneGrid:
     @classmethod
     def empty(cls, kind, resolution, fill=0.0, albedo=0.5, **kwargs):
         n = resolution
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"resolution must be an integer >= 2, got {n!r}")
         return cls(
             kind,
             np.full((n, n, n), float(fill)),

@@ -24,7 +24,6 @@ __all__ = [
     "dynamic_orbit",
     "adaptive_distance",
     "camera_matrix",
-    "camera_position",
 ]
 
 DEFAULT_FOV_DEG = 33.8
@@ -56,7 +55,6 @@ class Orbit:
     """A loop of K poses whose azimuths advance through one revolution."""
 
     poses: Tuple[CameraPose, ...]
-    conditioning_index: int = 0
 
     def __post_init__(self):
         poses = tuple(self.poses)
@@ -64,8 +62,6 @@ class Orbit:
         k = len(poses)
         if k < 2:
             raise ValueError("orbit needs at least 2 poses")
-        if not 0 <= self.conditioning_index < k:
-            raise ValueError("conditioning_index out of range")
         az = np.array([p.azimuth_deg for p in poses])
         deltas = np.mod(np.roll(az, -1) - az, 360.0)
         if np.any(deltas <= 0.0) or np.any(deltas >= 360.0):
@@ -83,10 +79,6 @@ class Orbit:
     @property
     def azimuths(self):
         return np.array([p.azimuth_deg for p in self.poses])
-
-    @property
-    def conditioning_pose(self):
-        return self.poses[self.conditioning_index]
 
 
 @dataclass(frozen=True)
@@ -213,20 +205,16 @@ class Camera:
 
     @property
     def position(self):
-        return camera_position(self.pose, self.distance)
+        """World-space camera center."""
+        e = math.radians(self.pose.elevation_deg)
+        a = math.radians(self.pose.azimuth_deg)
+        return self.distance * np.array(
+            [math.cos(e) * math.cos(a), math.cos(e) * math.sin(a), math.sin(e)]
+        )
 
     @property
     def focal_px(self):
         return (self.height / 2.0) / math.tan(math.radians(self.fov_deg) / 2.0)
-
-
-def camera_position(pose, distance):
-    """World-space camera center for a pose at the given distance."""
-    e = math.radians(pose.elevation_deg)
-    a = math.radians(pose.azimuth_deg)
-    return distance * np.array(
-        [math.cos(e) * math.cos(a), math.cos(e) * math.sin(a), math.sin(e)]
-    )
 
 
 def camera_matrix(camera):

@@ -28,7 +28,6 @@ __all__ = [
     "cosine_lobe",
     "irradiance_many",
     "irradiance_basis",
-    "shade",
     "hsv_value",
     "illum_loss",
     "fit_envmap",
@@ -89,17 +88,6 @@ class Envmap:
     @property
     def amplitudes(self):
         return np.array([g.amplitude for g in self.lobes])
-
-    def with_amplitudes(self, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=np.float64)
-        if amplitudes.shape != (len(self.lobes),):
-            raise ValueError("amplitude count must match lobe count")
-        return Envmap(
-            tuple(
-                SphericalGaussian(g.axis, g.sharpness, float(a))
-                for g, a in zip(self.lobes, amplitudes)
-            )
-        )
 
 
 def sum3(p):
@@ -207,19 +195,6 @@ def irradiance_basis(envmap, normals):
     return np.ascontiguousarray(_lobe_columns(envmap.axes, envmap.sharpnesses, normals.T, ws).T)
 
 
-def shade(albedo, light):
-    """Diffuse shading: componentwise albedo times scalar irradiance.
-
-    Values are intentionally left unclamped; clamping happens only when
-    writing 8-bit images.
-    """
-    albedo = np.asarray(albedo, dtype=np.float64)
-    light_arr = np.asarray(light, dtype=np.float64)
-    if np.any(light_arr < 0.0):
-        raise ValueError("irradiance must be >= 0")
-    return albedo * light_arr[..., None] if light_arr.ndim == albedo.ndim - 1 else albedo * light_arr
-
-
 def hsv_value(rgb):
     """HSV value channel: max(r, g, b)."""
     return np.max(np.asarray(rgb, dtype=np.float64), axis=-1)
@@ -249,8 +224,8 @@ def illum_loss(image, illum, foreground=None):
 
 def mc_sphere_integral(f, n_samples, rng):
     """Uniform Monte-Carlo integral over the unit sphere: (4 pi / n) sum f."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orbitforge import _render_np
-from orbitforge.grid import SceneGrid, node_gradient
+from orbitforge.grid import SceneGrid, node_gradient, sdf_to_density
 from orbitforge.render import intersect_unit_cube
 
 N = 5
@@ -382,3 +382,9 @@ class TestSceneGridRejectsNonFinite:
     def test_finite_accepted(self):
         grid = SceneGrid("sdf", FIELD, ALBEDO)
         assert grid.resolution == 3
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0, -0.02])
+def test_sdf_to_density_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and > 0"):
+        sdf_to_density(np.zeros(3), 150.0, beta)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import orbitforge
-from orbitforge import diffusion, orbits, sg
+from orbitforge import diffusion, grid, orbits, sg
 
 MODULES = sorted(
     f"orbitforge.{m.name}" for m in pkgutil.iter_modules(orbitforge.__path__)
@@ -71,10 +71,18 @@ def test_import_loads_no_scipy_sparse():
         (lambda: sg.default_envmap(n_lobes=2.5), "non-negative integer"),
         (lambda: sg.fibonacci_sphere(np.float64(3.0)), "non-negative integer"),
         (lambda: diffusion.make_sigma_schedule(n_steps=2.5), "n_steps"),
+        (lambda: diffusion.GaussianMixture([1.0], [[0.0]], [1.0]).sample(
+            np.random.default_rng(0), 2.5), "sample count n"),
+        (lambda: sg.mc_sphere_integral(np.ones_like, 2.5, np.random.default_rng(0)),
+         "n_samples"),
+        (lambda: sg.mc_sphere_integral(np.ones_like, math.nan, np.random.default_rng(0)),
+         "n_samples"),
+        (lambda: grid.SceneGrid.empty("density", 2.5), "resolution"),
     ],
     ids=["static-k", "dynamic-k", "dynamic-sinusoids", "dynamic-sinusoids-nan",
          "dynamic-period-range", "dynamic-half-width", "default-envmap-lobes", "fibonacci-n",
-         "sigma-schedule-steps"],
+         "sigma-schedule-steps", "mixture-sample-n", "mc-sphere-samples",
+         "mc-sphere-samples-nan", "grid-resolution"],
 )
 def test_non_integer_counts_are_rejected(call, match):
     """A count that is not an integer raises a ValueError naming it, in every module."""
