@@ -8,7 +8,9 @@ optimal denoiser, ``GaussianMixture.posterior_mean``, which
 ``GaussianMixtureDenoiser`` serves per conditioning token and the test suite
 uses to verify the sampler without any trained network; its ``guided`` gives a
 CFG step's blend in one pass.  That blend is affine in x, so ``ddim_sample``
-steps a mixture's chain from its factors, one output product per step.
+steps a mixture's chain in the span of x_init and the means: per-step cost
+O(n K^2) for n points and K components, free of dim, and one output product
+per chain.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from types import MappingProxyType
 from typing import Hashable, Mapping
 
 import numpy as np
+
+from ._checks import is_integer
 
 __all__ = [
     "GaussianMixture",
@@ -77,7 +81,7 @@ class GaussianMixture:
         return self.weights.size
 
     def sample(self, rng, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if not is_integer(n) or n < 0:
             raise ValueError(f"sample count n must be an integer >= 0, got {n!r}")
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         noise = rng.standard_normal((n, self.dim))
@@ -124,7 +128,7 @@ class GaussianMixture:
         (n, dim) @ (dim, K) product, taken around the centroid c of the means:
         ||x - mu_k||^2 = ||x - c||^2 - 2 (x - c).(mu_k - c) + ||mu_k - c||^2,
         clipped at 0, and the log-joint is then built inside that product's
-        array.  Centring keeps the cancellation to rounding of the
+        array by ``_joint_from``.  Centring keeps the cancellation to rounding of the
         spread of x and the means about c, not of their distance from the
         origin.  Without the offsets x - mu_k, ``posterior_mean`` is the second
         product: with responsibilities r_k and s_k = v_k / (v_k + sigma^2),
@@ -133,19 +137,28 @@ class GaussianMixture:
         means offset up to 100 and sigma from 80 down to 0.002, to 1e-10 of
         the largest |entry| on ``log_marginal`` and 1e-12 on ``posterior_mean``.
         """
+        return self._joint_from(*self._centred_terms(x), s2, log_norm)
+
+    def _centred_terms(self, x):
+        """prod = (x - c) @ (means - c).T, (n, K), and sq = ||x - c||^2, (n, 1): all that
+        ``_joint`` reads of a checked batch x."""
         xc = x - self._centroid
-        joint = xc @ self._centred.T
+        return xc @ self._centred.T, np.einsum("nd,nd->n", xc, xc)[:, None]
+
+    def _joint_from(self, prod, sq, s2, log_norm):
+        """``_joint``'s log-joint from x's ``_centred_terms`` (prod, sq), built in place
+        inside prod."""
         # Element by element the same operations, in the same order, as
         # -0.5 * (dim ln(2 pi s2) + max(|xc|^2 - 2 prod + |mu_c|^2, 0) / s2) + ln w.
-        joint *= 2.0
-        np.subtract(np.einsum("nd,nd->n", xc, xc)[:, None], joint, out=joint)
-        joint += self._centred_sq
-        np.maximum(joint, 0.0, out=joint)
-        joint /= s2
-        joint += log_norm
-        joint *= -0.5
-        joint += self._log_weights
-        return joint
+        prod *= 2.0
+        np.subtract(sq, prod, out=prod)
+        prod += self._centred_sq
+        np.maximum(prod, 0.0, out=prod)
+        prod /= s2
+        prod += log_norm
+        prod *= -0.5
+        prod += self._log_weights
+        return prod
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form) at one noise level."""
@@ -206,6 +219,15 @@ def _noise_level(sigma):
     return sigma
 
 
+def _guidance(w):
+    """``w`` as one finite float, or a named error.  Python counts a bool as a number, but
+    not as a CFG strength."""
+    number = isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool)
+    if not (number and math.isfinite(w)):
+        raise ValueError(f"guidance must be finite, one number and not a bool, got {w!r}")
+    return float(w)
+
+
 def _shift_rows(joint):
     """Subtract each row's maximum from the (n, K) ``joint`` in place and return them, (n, 1):
     over a (K, n) copy that is K - 1 whole-row maxima, exact in any order."""
@@ -245,8 +267,7 @@ class GaussianMixtureDenoiser:
     def guided(self, x, sigma, cond, w):
         """w D_cond - (w - 1) D_null at (x, sigma) from one log-joint and one output product:
         ``cfg_combine`` of the two calls up to rounding.  ``x`` is never written."""
-        if not math.isfinite(w):
-            raise ValueError(f"guidance must be finite, got {w!r}")
+        w = _guidance(w)
         union, split = self._union(cond)
         return union._posterior_mean(x, sigma, split, w)
 
@@ -292,7 +313,7 @@ def make_sigma_schedule(sigma_max=80.0, sigma_min=0.002, n_steps=50, rho=7.0):
         raise ValueError(f"sigma_max must be finite, got {sigma_max!r}")
     if not (sigma_max > sigma_min > 0.0):
         raise ValueError("need sigma_max > sigma_min > 0")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if not is_integer(n_steps) or n_steps < 1:
         raise ValueError("n_steps must be an integer >= 1")
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be finite and > 0, got {rho!r}")
@@ -324,23 +345,28 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
 
     x_{i+1} = x_i + c_i (x_i - D^w(x_i; sigma_i)) with c_i = (sigma_{i+1} - sigma_i) /
     sigma_i, returning the state at sigma = 0.  ``guidance`` is the one CFG strength w of
-    the whole chain, a finite number; ``x_init`` must be finite and is never written, and a
-    final state that is not finite (a denoiser returned NaN or inf, or the chain overflowed)
-    raises ValueError.  The chain is a pure function of (x_init, schedule, cond, guidance).
+    the whole chain, a finite number and not a bool; ``x_init`` must be finite and is never
+    written, and a final state that is not finite (a denoiser returned NaN or inf, or the
+    chain overflowed) raises ValueError.  The chain is a pure function of (x_init, schedule,
+    cond, guidance).
 
     A ``GaussianMixtureDenoiser`` is not called.  Its D^w(x) = kappa x + Q @ means is
-    affine in x, so a step is x_{i+1} = (kappa (-c_i) + 1 + c_i) x_i + (-c_i Q) @ means: one
-    output product from the mixture's factors, in place on one state array.  The table (the
-    conditional mixture alone at w = 1), the checks and the log-joint's sigma-only terms are
-    taken once per chain; c = -1 at the last step gives a one-step chain D^w's bits.  Any
+    affine in x, so a step is x_{i+1} = a x_i + (-c_i Q) @ means with a = kappa (-c_i) + 1 +
+    c_i, and every state is x_i = alpha x_init + B @ means with alpha, (n, 1), and B, (n, K),
+    carried instead of x: alpha *= a, B = a B - c_i Q.  As kappa + rowsum(Q) = 1, so is
+    alpha + rowsum(B), and the log-joint's terms of x_i follow from those of x_init and the
+    (K, K) Gram matrix of the centred means.  A step thus costs O(n K^2) rather than
+    O(n dim K), and x = alpha x_init + B @ means is the chain's one output product.  With
+    K > dim a step would cost more than one on x; the benchmark's table has K = 24 in
+    dim = 256.  The table
+    (the conditional mixture alone at w = 1), the checks, the log-joint's sigma-only terms
+    and x_init's terms are taken once per chain; step 0 reads x_init's terms exactly and
+    c = -1 at the last step, so a one-step chain gives D^w's bits.  Any
     other callable is called once per step at w = 1, where D^w is the conditional prediction
     alone, bit for bit, and otherwise twice, joined by ``cfg_combine``; as it may keep its x,
     each step is a new array, and no array a denoiser saw or returned is written.
     """
-    number = isinstance(guidance, (int, float, np.integer, np.floating))
-    if not (number and math.isfinite(guidance)):
-        raise ValueError(f"guidance must be one finite number, got {guidance!r}")
-    w = float(guidance)
+    w = _guidance(guidance)
     sig = schedule.sigmas
     x = np.asarray(x_init, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -348,17 +374,30 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     if isinstance(denoiser, GaussianMixtureDenoiser):
         mix, split = ((denoiser._lookup(denoiser.mixtures, cond), None) if w == 1.0
                       else denoiser._union(cond))
-        x = x.copy()  # the state, written in place from here on
         batch = mix._batch(x)
         s2, log_norm = mix._sigma_terms(sig[:-1, None])
         keep = mix.variances / s2
+        p0, sq0 = mix._centred_terms(batch)
+        gram = mix._centred @ mix._centred.T
+        alpha = np.ones_like(sq0)
+        b = np.zeros_like(p0)
         for i, c in enumerate(((sig[1:] - sig[:-1]) / sig[:-1]).tolist()):
-            kappa, q = mix._factors(mix._joint(batch, s2[i], log_norm[i]), keep[i], split, w)
+            ap = alpha * p0
+            prod = ap + b @ gram
+            # ||x_i - c||^2 = alpha^2 sq0 + 2 alpha rowsum(B P0) + rowsum(B (B @ gram)), as
+            # prod + ap = 2 alpha P0 + B @ gram; taken before the log-joint overwrites prod.
+            sq = alpha * alpha * sq0 + np.einsum("nk,nk->n", b, prod + ap)[:, None]
+            kappa, q = mix._factors(mix._joint_from(prod, sq, s2[i], log_norm[i]), keep[i],
+                                    split, w)
             kappa *= -c
             kappa += 1.0 + c
+            alpha *= kappa
+            b *= kappa
             q *= -c
-            batch *= kappa
-            batch += q @ mix.means
+            b += q
+        out = alpha * batch
+        out += b @ mix.means
+        x = out[0] if x.ndim == 1 else out
     else:
         for i in range(schedule.n_steps):
             s_cur = sig[i]
@@ -401,15 +440,15 @@ class GuidanceSchedule:
     def __post_init__(self):
         if self.kind not in GUIDANCE_KINDS:
             raise ValueError(f"unknown guidance kind {self.kind!r}")
-        if not (0.0 <= self.w_min < math.inf and 0.0 <= self.w_max < math.inf):
-            raise ValueError("guidance strengths must be finite and >= 0")
+        if not (_guidance(self.w_min) >= 0.0 and _guidance(self.w_max) >= 0.0):
+            raise ValueError("guidance strengths must be >= 0")
         k_min = 2 if self.kind == "linear" else 1
-        if not isinstance(self.k, (int, np.integer)) or self.k < k_min:
+        if not is_integer(self.k) or self.k < k_min:
             raise ValueError(f"{self.kind} schedule needs an integer k >= {k_min}")
 
     def at(self, i):
         """CFG strength of frame i."""
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.k:
+        if not is_integer(i) or not 0 <= i < self.k:
             raise ValueError(f"frame index {i!r} must be an integer in [0, {self.k})")
         w_min, w_max, k = self.w_min, self.w_max, self.k
         if self.kind == "constant":

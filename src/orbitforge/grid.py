@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from ._checks import is_integer
+
 __all__ = [
     "SceneGrid",
     "ImageBundle",
@@ -79,7 +81,7 @@ class SceneGrid:
     @classmethod
     def empty(cls, kind, resolution, fill=0.0, albedo=0.5, **kwargs):
         n = resolution
-        if not isinstance(n, (int, np.integer)) or n < 2:
+        if not is_integer(n) or n < 2:
             raise ValueError(f"resolution must be an integer >= 2, got {n!r}")
         return cls(
             kind,

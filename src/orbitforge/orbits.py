@@ -14,6 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
+from ._checks import is_integer
+
 __all__ = [
     "CameraPose",
     "Orbit",
@@ -94,9 +96,9 @@ class DynamicOrbitParams:
 
     def __post_init__(self):
         n, half, (lo_p, hi_p) = self.n_sinusoids, self.smooth_half_width, self.period_range
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValueError(f"n_sinusoids must be an integer >= 1, got {n!r}")
-        if not all(isinstance(p, (int, np.integer)) for p in (lo_p, hi_p)) or not 1 <= lo_p <= hi_p:
+        if not all(is_integer(p) for p in (lo_p, hi_p)) or not 1 <= lo_p <= hi_p:
             raise ValueError(f"period_range must be integers 1 <= lo <= hi, got {(lo_p, hi_p)}")
         lo_a, hi_a = self.amplitude_range_deg
         if not 0.0 <= lo_a <= hi_a < math.inf:
@@ -104,7 +106,7 @@ class DynamicOrbitParams:
         if not 0.0 <= self.max_elevation_deg <= 90.0:
             raise ValueError("max elevation must be in [0, 90]")
         if not (0.0 <= self.azimuth_noise_std_deg < math.inf
-                and isinstance(half, (int, np.integer)) and half >= 0):
+                and is_integer(half) and half >= 0):
             raise ValueError("noise std must be finite and >= 0, smooth_half_width an integer >= 0")
 
 
@@ -121,7 +123,7 @@ def _circular_smooth(values, half_width):
 
 def static_orbit(k, elevation_deg, start_azimuth_deg=0.0):
     """Regularly spaced azimuths at a fixed elevation."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
+    if not is_integer(k) or k < 2:
         raise ValueError("orbit needs an integer k >= 2 frames")
     if abs(elevation_deg) > _MAX_ELEVATION_DEG:
         raise ValueError(f"|elevation| must be <= {_MAX_ELEVATION_DEG}")
@@ -140,7 +142,7 @@ def dynamic_orbit(rng, k, cond_pose, params=DynamicOrbitParams()):
     clamped to +/-89 degrees.  Azimuth noise is zeroed at frame 0 and
     clipped so the frame ordering survives.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
+    if not is_integer(k) or k < 2:
         raise ValueError("orbit needs an integer k >= 2 frames")
     cond_e = float(cond_pose.elevation_deg)
     if abs(cond_e) > params.max_elevation_deg:
@@ -200,7 +202,7 @@ class Camera:
         if not 0.0 < self.fov_deg < 180.0:
             raise ValueError("fov must be in (0, 180)")
         for size in (self.width, self.height):
-            if not isinstance(size, (int, np.integer)) or size < 1:
+            if not is_integer(size) or size < 1:
                 raise ValueError("image size must be a positive integer")
 
     @property

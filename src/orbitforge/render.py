@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _render_np
+from ._checks import is_integer
 from .grid import ImageBundle, SceneGrid
 from .orbits import camera_matrix
 from .sg import irradiance_basis, norm3
@@ -53,7 +54,7 @@ class LightTable:
 
     def __init__(self, envmap, n_theta=64, n_phi=128):
         for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
-            if not isinstance(size, (int, np.integer)) or size < 1:
+            if not is_integer(size) or size < 1:
                 raise ValueError(f"{name} must be a positive integer")
         self.n_theta = n_theta
         self.n_phi = n_phi
@@ -181,9 +182,9 @@ def render(
     same bits either way.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
-    if not isinstance(samples_per_ray, (int, np.integer)) or samples_per_ray < 2:
+    if not is_integer(samples_per_ray) or samples_per_ray < 2:
         raise ValueError("samples_per_ray must be an integer >= 2")
-    if not isinstance(jitter_seed, (int, np.integer)) or not 0 <= jitter_seed < 2 ** 64:
+    if not is_integer(jitter_seed) or not 0 <= jitter_seed < 2 ** 64:
         raise ValueError("jitter_seed must be an integer in [0, 2**64)")
     background = np.asarray(background, dtype=np.float64)
     if background.shape != (3,) or not np.all(np.isfinite(background)):

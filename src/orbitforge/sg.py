@@ -18,6 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
+from ._checks import is_integer
+
 __all__ = [
     "SphericalGaussian",
     "Envmap",
@@ -224,7 +226,7 @@ def illum_loss(image, illum, foreground=None):
 
 def mc_sphere_integral(f, n_samples, rng):
     """Uniform Monte-Carlo integral over the unit sphere: (4 pi / n) sum f."""
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+    if not is_integer(n_samples) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     z = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
@@ -235,7 +237,7 @@ def mc_sphere_integral(f, n_samples, rng):
 
 def fibonacci_sphere(n):
     """n near-uniform directions from the golden-angle spiral."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not is_integer(n) or n < 0:
         raise ValueError("n must be a non-negative integer")
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
@@ -308,7 +310,7 @@ def fit_envmap(views, init=None, iterations=200, return_history=False):
     copy of the normals, ``_lobe_columns`` workspaces for the current and the
     trial point and the gradient's ``w`` once; an accepted trial swaps the two.
     """
-    if not isinstance(iterations, (int, np.integer)) or iterations < 0:
+    if not is_integer(iterations) or iterations < 0:
         raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
     bufs = []
     for view in views:

@@ -391,6 +391,27 @@ def assert_close_to(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+@st.composite
+def sampler_chains(draw):
+    """A null mixture of up to 8 components in up to 16 dimensions (so K > dim occurs), with
+    means shifted by up to 100 per coordinate; a conditional mixture of its first ones;
+    start points at sigma_max = 80 about the shift; and a 1-, 2-, 5- or 50-step schedule."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 8))
+    k_cond = draw(st.integers(1, k))
+    d = draw(st.integers(1, 16))
+    variances = draw(st.lists(st.sampled_from([0.0, 1e-4, 0.2, 2.0]), min_size=k, max_size=k))
+    offset = draw(st.floats(0.0, 100.0))
+    sched = make_sigma_schedule(n_steps=draw(st.sampled_from([1, 2, 5, 50])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.uniform(-offset, offset, d)
+    means = shift + rng.standard_normal((k, d))
+    weights = rng.uniform(0.1, 1.0, k)
+    cond = GaussianMixture(weights[:k_cond], means[:k_cond], variances[:k_cond])
+    den = GaussianMixtureDenoiser({"obj": cond, None: GaussianMixture(weights, means, variances)})
+    return den, sched, shift + sched[0] * rng.standard_normal((n, d))
+
+
 class CountingDenoiser(GaussianMixtureDenoiser):
     """Counts its plain and its guided calls."""
 
@@ -477,6 +498,32 @@ class TestGuidedPass:
             want = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
                                guidance=guidance, x_init=x0)
             assert_close_to(got, want)
+
+    @given(sampler_chains(), st.sampled_from([0.0, 1.0, 1.95, 2.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_sampler_routes_agree_on_random_mixtures(self, case, guidance):
+        """The factor route carries x_i - c through the Gram matrix of the centred means, whose
+        expansion cancels; it stays within 1e-12 of the plain route's largest |entry|."""
+        den, sched, x0 = case
+        got = ddim_sample(den, sched, cond="obj", guidance=guidance, x_init=x0)
+        want = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, cond="obj",
+                           guidance=guidance, x_init=x0)
+        assert_close_to(got, want)
+
+    @pytest.mark.parametrize("w", [1.0, 2.9])
+    @pytest.mark.parametrize("n_steps", [1, 12])
+    def test_edge_batches_keep_their_shape(self, w, n_steps):
+        """One point comes back as one point, with row 0 of its (1, dim) batch's bits, and
+        an empty batch comes back empty."""
+        cond, null, x0 = benchmark_sized_mixtures(8)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        sched = make_sigma_schedule(n_steps=n_steps)
+        point = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[3])
+        row = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[3:4])
+        assert point.shape == (256,) and row.shape == (1, 256)
+        assert same_bits(point, row[0])
+        empty = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[:0])
+        assert empty.shape == (0, 256)
 
     def test_unit_guidance_takes_the_plain_call(self):
         """At w = 1 the chain reads the conditional mixture alone, as the plain call does,

@@ -88,3 +88,36 @@ def test_non_integer_counts_are_rejected(call, match):
     """A count that is not an integer raises a ValueError naming it, in every module."""
     with pytest.raises(ValueError, match=match):
         call()
+
+
+_GM = diffusion.GaussianMixture([1.0], [[0.0]], [1.0])
+_GM_DENOISER = diffusion.GaussianMixtureDenoiser({None: _GM, "obj": _GM})
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: _GM.sample(np.random.default_rng(0), True), "sample count n"),
+        (lambda: diffusion.make_sigma_schedule(n_steps=True), "n_steps"),
+        (lambda: diffusion.GuidanceSchedule("triangular", 1.0, 2.5, 10).at(True),
+         "frame index"),
+        (lambda: diffusion.GuidanceSchedule("constant", 1.0, 2.0, True), "integer k"),
+        (lambda: diffusion.GuidanceSchedule("constant", 1.0, True, 3), "guidance"),
+        (lambda: diffusion.ddim_sample(_GM_DENOISER, diffusion.make_sigma_schedule(n_steps=2),
+                                       x_init=np.zeros(1), guidance=True), "guidance"),
+        (lambda: _GM_DENOISER.guided(np.zeros(1), 1.0, "obj", True), "guidance"),
+        (lambda: sg.fibonacci_sphere(True), "non-negative integer"),
+        (lambda: sg.mc_sphere_integral(np.ones_like, True, np.random.default_rng(0)),
+         "n_samples"),
+        (lambda: orbits.DynamicOrbitParams(n_sinusoids=True), "n_sinusoids"),
+        (lambda: orbits.Camera(orbits.CameraPose(0.0, 0.0), 2.0, width=True), "image size"),
+    ],
+    ids=["mixture-sample-n", "sigma-schedule-steps", "guidance-frame", "guidance-k",
+         "guidance-w_max", "ddim-guidance", "guided-guidance", "fibonacci-n",
+         "mc-sphere-samples", "dynamic-sinusoids", "camera-width"],
+)
+def test_bool_is_not_a_number(call, match):
+    """Python counts True as the int 1; a count, a frame index or a CFG strength given as a
+    bool raises a ValueError naming it, as every one of these accepted it as 1."""
+    with pytest.raises(ValueError, match=match):
+        call()
