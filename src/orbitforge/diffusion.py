@@ -7,10 +7,9 @@ the probability-flow ODE with one classifier-free-guidance strength per call
 optimal denoiser, ``GaussianMixture.posterior_mean``, which
 ``GaussianMixtureDenoiser`` serves per conditioning token and the test suite
 uses to verify the sampler without any trained network; its ``guided`` gives a
-CFG step's blend in one pass.  That blend is affine in x, so ``ddim_sample``
-steps a mixture's chain in the span of x_init and the means: per-step cost
-O(n K^2) for n points and K components, free of dim, and one output product
-per chain.
+CFG step's blend in one pass.  Both are the one-step case of the one route a
+mixture's prediction takes, ``GaussianMixture._chain``, which also runs
+``ddim_sample``'s chains of a mixture in the span of x_init and the means.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class GaussianMixture:
         self.weights = weights / total
         self.means = means
         self.variances = variances
-        # _joint's constants, O(K d) each.  A zero weight is ln 0 = -inf:
-        # that component never carries posterior mass.
+        # The log-joint's constants, O(K d) each.  A zero weight is ln 0 = -inf: that
+        # component never carries posterior mass.
         self._centroid = means.mean(axis=0)
         self._centred = means - self._centroid
         self._centred_sq = np.einsum("kd,kd->k", self._centred, self._centred)
@@ -120,36 +119,18 @@ class GaussianMixture:
             )
         return s2, self.dim * np.log(2.0 * np.pi * s2)
 
-    def _joint(self, x, s2, log_norm):
-        """ln(w_k N(x; mu_k, s2_k I)) per row of a checked batch x and component k: the
-        unshifted (n, K) log-joint from the ``_sigma_terms`` s2 = v + sigma^2 and log_norm.
-
-        No (n, K, dim) array is built.  The squared distances come from one
-        (n, dim) @ (dim, K) product, taken around the centroid c of the means:
-        ||x - mu_k||^2 = ||x - c||^2 - 2 (x - c).(mu_k - c) + ||mu_k - c||^2,
-        clipped at 0, and the log-joint is then built inside that product's
-        array by ``_joint_from``.  Centring keeps the cancellation to rounding of the
-        spread of x and the means about c, not of their distance from the
-        origin.  Without the offsets x - mu_k, ``posterior_mean`` is the second
-        product: with responsibilities r_k and s_k = v_k / (v_k + sigma^2),
-        sum_k r_k (mu_k + s_k (x - mu_k)) = (sum_k r_k s_k) x + (r * (1 - s)) @ mu.
-        The test suite holds both, against the dense difference formula over
-        means offset up to 100 and sigma from 80 down to 0.002, to 1e-10 of
-        the largest |entry| on ``log_marginal`` and 1e-12 on ``posterior_mean``.
-        """
-        return self._joint_from(*self._centred_terms(x), s2, log_norm)
-
     def _centred_terms(self, x):
-        """prod = (x - c) @ (means - c).T, (n, K), and sq = ||x - c||^2, (n, 1): all that
-        ``_joint`` reads of a checked batch x."""
+        """prod = (x - c) @ (means - c).T, (n, K), and sq = ||x - c||^2, (n, 1), of a checked
+        batch x about the means' centroid c, which keeps the cancellation in ||x - mu_k||^2 to
+        rounding of the spread of x and the means about c, not of their distance from 0."""
         xc = x - self._centroid
         return xc @ self._centred.T, np.einsum("nd,nd->n", xc, xc)[:, None]
 
     def _joint_from(self, prod, sq, s2, log_norm):
-        """``_joint``'s log-joint from x's ``_centred_terms`` (prod, sq), built in place
-        inside prod."""
-        # Element by element the same operations, in the same order, as
-        # -0.5 * (dim ln(2 pi s2) + max(|xc|^2 - 2 prod + |mu_c|^2, 0) / s2) + ln w.
+        """The unshifted (n, K) log-joint ln(w_k N(x; mu_k, s2_k I)) from x's ``_centred_terms``
+        and the ``_sigma_terms``, built in place in prod; the tests hold it to the dense
+        difference formula (means offset up to 100, sigma from 80 down to 0.002)."""
+        # -0.5 * (dim ln(2 pi s2) + max(|xc|^2 - 2 prod + |mu_c|^2, 0) / s2) + ln w, in order.
         prod *= 2.0
         np.subtract(sq, prod, out=prod)
         prod += self._centred_sq
@@ -162,7 +143,8 @@ class GaussianMixture:
 
     def log_marginal(self, x, sigma):
         """ln p(x; sigma) of the sigma-smoothed mixture (closed form) at one noise level."""
-        joint = self._joint(self._batch(x), *self._sigma_terms(_noise_level(sigma)))
+        joint = self._joint_from(*self._centred_terms(self._batch(x)),
+                                 *self._sigma_terms(_noise_level(sigma)))
         top = _shift_rows(joint)
         out = top[:, 0] + np.log(np.sum(np.exp(joint), axis=1))
         return out if np.asarray(x).ndim > 1 else float(out[0])
@@ -179,17 +161,47 @@ class GaussianMixture:
         return self._posterior_mean(x, sigma)
 
     def _posterior_mean(self, x, sigma, split=None, w=1.0):
-        batch = self._batch(x)
+        """D^w(x; sigma), the one-step chain, or a copy of x at sigma = 0."""
         sigma = _noise_level(sigma)
-        if sigma == 0.0:
-            out = batch.copy()
-        else:
-            s2, log_norm = self._sigma_terms(sigma)
-            kappa, q = self._factors(self._joint(batch, s2, log_norm), self.variances / s2,
+        if sigma > 0.0:
+            return self._chain(x, np.array([sigma, 0.0]), split, w)
+        return self._batch(x).copy().reshape(np.shape(x))
+
+    def _chain(self, x, sigmas, split=None, w=1.0):
+        """Euler steps x_{i+1} = x_i + c_i (x_i - D^w(x_i; sigma_i)), c_i = (sigma_{i+1} -
+        sigma_i) / sigma_i, down ``sigmas`` (ending at 0) from x, one point or a batch that is
+        never written: the state at sigma = 0, in x's shape.  As D^w(x) = kappa x + Q @ means
+        (``_factors``), each state is x_i = alpha x_0 + B @ means, carried as alpha (n, 1) and
+        B (n, K): alpha *= a, B = a B - c_i Q with a = kappa (-c_i) + 1 + c_i.  As kappa +
+        rowsum(Q) = 1, so is alpha + rowsum(B), and x_i's ``_centred_terms`` follow from x_0's
+        and the (K, K) Gram matrix of the centred means: a step costs O(n K^2), not O(n dim K)
+        (more only if K > dim; the benchmark has K = 24 in dim = 256), and a chain makes one
+        output product.  Step 0 reads x_0's terms exactly and c = -1 at the last step, so the
+        chain [sigma, 0] gives D^w(x; sigma)'s bits."""
+        batch = self._batch(x)
+        s2, log_norm = self._sigma_terms(sigmas[:-1, None])
+        keep = self.variances / s2
+        p0, sq0 = self._centred_terms(batch)
+        gram = self._centred @ self._centred.T
+        alpha = np.ones_like(sq0)
+        b = np.zeros_like(p0)
+        for i, c in enumerate(((sigmas[1:] - sigmas[:-1]) / sigmas[:-1]).tolist()):
+            ap = alpha * p0
+            prod = ap + b @ gram
+            # ||x_i - c||^2 = alpha^2 sq0 + 2 alpha rowsum(B P0) + rowsum(B (B @ gram)), as
+            # prod + ap = 2 alpha P0 + B @ gram; taken before the log-joint overwrites prod.
+            sq = alpha * alpha * sq0 + np.einsum("nk,nk->n", b, prod + ap)[:, None]
+            kappa, q = self._factors(self._joint_from(prod, sq, s2[i], log_norm[i]), keep[i],
                                      split, w)
-            out = kappa * batch
-            out += q @ self.means
-        return out[0] if np.ndim(x) == 1 else out
+            kappa *= -c
+            kappa += 1.0 + c
+            alpha *= kappa
+            b *= kappa
+            q *= -c
+            b += q
+        out = alpha * batch
+        out += b @ self.means
+        return out.reshape(np.shape(x))
 
     def _factors(self, joint, keep, split=None, w=1.0):
         """The posterior mean kappa x + Q @ means as (kappa, Q), (n, 1) and (n, K), from the
@@ -203,7 +215,7 @@ class GaussianMixture:
             np.exp(block, out=block)
             block /= block.sum(axis=1, keepdims=True)
             block *= scale
-        # r_k s_k, the share of x that component k keeps (see _joint).
+        # r_k s_k, the share of x that component k keeps (s_k = v_k / (v_k + sigma^2)).
         kept = joint * keep
         joint -= kept
         return kept.sum(axis=1, keepdims=True), joint
@@ -350,21 +362,12 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     chain overflowed) raises ValueError.  The chain is a pure function of (x_init, schedule,
     cond, guidance).
 
-    A ``GaussianMixtureDenoiser`` is not called.  Its D^w(x) = kappa x + Q @ means is
-    affine in x, so a step is x_{i+1} = a x_i + (-c_i Q) @ means with a = kappa (-c_i) + 1 +
-    c_i, and every state is x_i = alpha x_init + B @ means with alpha, (n, 1), and B, (n, K),
-    carried instead of x: alpha *= a, B = a B - c_i Q.  As kappa + rowsum(Q) = 1, so is
-    alpha + rowsum(B), and the log-joint's terms of x_i follow from those of x_init and the
-    (K, K) Gram matrix of the centred means.  A step thus costs O(n K^2) rather than
-    O(n dim K), and x = alpha x_init + B @ means is the chain's one output product.  With
-    K > dim a step would cost more than one on x; the benchmark's table has K = 24 in
-    dim = 256.  The table
-    (the conditional mixture alone at w = 1), the checks, the log-joint's sigma-only terms
-    and x_init's terms are taken once per chain; step 0 reads x_init's terms exactly and
-    c = -1 at the last step, so a one-step chain gives D^w's bits.  Any
-    other callable is called once per step at w = 1, where D^w is the conditional prediction
-    alone, bit for bit, and otherwise twice, joined by ``cfg_combine``; as it may keep its x,
-    each step is a new array, and no array a denoiser saw or returned is written.
+    A ``GaussianMixtureDenoiser`` is not called: its table (the conditional mixture alone
+    at w = 1) runs the chain in ``GaussianMixture._chain``, the route its predictions take,
+    so a one-step chain gives D^w's bits.  Any other callable is called once per step at
+    w = 1, where D^w is the conditional prediction alone, bit for bit, and otherwise twice,
+    joined by ``cfg_combine``; as it may keep its x, each step is a new array, and no array
+    a denoiser saw or returned is written.
     """
     w = _guidance(guidance)
     sig = schedule.sigmas
@@ -374,30 +377,7 @@ def ddim_sample(denoiser, schedule, *, x_init, cond=None, guidance=1.0):
     if isinstance(denoiser, GaussianMixtureDenoiser):
         mix, split = ((denoiser._lookup(denoiser.mixtures, cond), None) if w == 1.0
                       else denoiser._union(cond))
-        batch = mix._batch(x)
-        s2, log_norm = mix._sigma_terms(sig[:-1, None])
-        keep = mix.variances / s2
-        p0, sq0 = mix._centred_terms(batch)
-        gram = mix._centred @ mix._centred.T
-        alpha = np.ones_like(sq0)
-        b = np.zeros_like(p0)
-        for i, c in enumerate(((sig[1:] - sig[:-1]) / sig[:-1]).tolist()):
-            ap = alpha * p0
-            prod = ap + b @ gram
-            # ||x_i - c||^2 = alpha^2 sq0 + 2 alpha rowsum(B P0) + rowsum(B (B @ gram)), as
-            # prod + ap = 2 alpha P0 + B @ gram; taken before the log-joint overwrites prod.
-            sq = alpha * alpha * sq0 + np.einsum("nk,nk->n", b, prod + ap)[:, None]
-            kappa, q = mix._factors(mix._joint_from(prod, sq, s2[i], log_norm[i]), keep[i],
-                                    split, w)
-            kappa *= -c
-            kappa += 1.0 + c
-            alpha *= kappa
-            b *= kappa
-            q *= -c
-            b += q
-        out = alpha * batch
-        out += b @ mix.means
-        x = out[0] if x.ndim == 1 else out
+        x = mix._chain(x, sig, split, w)
     else:
         for i in range(schedule.n_steps):
             s_cur = sig[i]

@@ -298,25 +298,30 @@ def _fit_gradients(axes, sharp, amps, normals, albedo, target, light, ws, w):
 def fit_envmap(views, init=None, iterations=200, return_history=False):
     """Fit lobe parameters to shaded images with known normals and albedo.
 
-    ``views`` is a sequence of (rgb, normals, albedo[, foreground]) tuples;
-    buffers may be per-pixel images or flat point lists.  Foreground
-    buffers must be finite, foreground normals unit length and ``init``
-    must have at least one lobe, and ``iterations`` an integer >= 0, else
-    ``ValueError``.  Amplitude, axis and log-sharpness gradients are all
-    closed form (``_fit_gradients``).  Projected gradient descent with a
-    backtracking line search keeps the loss non-increasing over accepted
-    steps; ``_FIT_MAX_FAIL_STREAK`` consecutive failed line searches raise
-    ``EnvmapFitError``.  The views are only read.  A call allocates a (3, points)
-    copy of the normals, ``_lobe_columns`` workspaces for the current and the
-    trial point and the gradient's ``w`` once; an accepted trial swaps the two.
+    ``views`` is a sequence of (rgb, normals, albedo[, foreground]) tuples; buffers may
+    be per-pixel images or flat point lists, with one point count per view.  Foreground
+    buffers must be finite, foreground normals unit length and ``init`` must have at
+    least one lobe, and ``iterations`` an integer >= 0, else ``ValueError``.  Amplitude,
+    axis and log-sharpness gradients are all closed form (``_fit_gradients``).
+    Projected gradient descent with a backtracking line search keeps the loss
+    non-increasing over accepted steps; ``_FIT_MAX_FAIL_STREAK`` consecutive failed line
+    searches raise ``EnvmapFitError``.  The views are only read.  A call allocates a
+    (3, points) copy of the normals, ``_lobe_columns`` workspaces for the current and
+    the trial point and the gradient's ``w`` once; an accepted trial swaps the two.
     """
     if not is_integer(iterations) or iterations < 0:
         raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
     bufs = []
-    for view in views:
+    for i, view in enumerate(views):
         rgb, normals, albedo = (np.asarray(b, dtype=np.float64).reshape(-1, 3) for b in view[:3])
-        if len(view) > 3 and view[3] is not None:
-            keep = np.asarray(view[3]).reshape(-1).astype(bool)
+        keep = (None if len(view) < 4 or view[3] is None
+                else np.asarray(view[3]).reshape(-1).astype(bool))
+        fg = len(rgb) if keep is None else keep.size
+        if not len(rgb) == len(normals) == len(albedo) == fg:
+            raise ValueError(f"view {i} needs one point count per buffer, got rgb {len(rgb)}, "
+                             f"normals {len(normals)}, albedo {len(albedo)} and foreground "
+                             f"{'(none)' if keep is None else fg}")
+        if keep is not None:
             rgb, normals, albedo = rgb[keep], normals[keep], albedo[keep]
         bufs.append((rgb, normals, albedo))
     if not bufs:

@@ -83,7 +83,9 @@ class TestAnalyticDenoiser:
         out = mix.posterior_mean(xs, 0.0)
         np.testing.assert_array_equal(out, xs)
         assert not np.shares_memory(out, xs)
-        np.testing.assert_array_equal(mix.posterior_mean(xs[1], 0.0), xs[1])
+        point = mix.posterior_mean(xs[1], 0.0)
+        np.testing.assert_array_equal(point, xs[1])
+        assert point.shape == (1,) and not np.shares_memory(point, xs)
 
     @pytest.mark.parametrize(
         "call",
@@ -331,7 +333,7 @@ class TestBitwiseAgainstReference:
         _, mix, x = benchmark_sized_mixtures(k)
         x = x * (sigma / 80.0) + mix.means[np.arange(64) % mix.n_components]
         s2, log_norm = mix._sigma_terms(sigma)
-        shifted = mix._joint(mix._batch(x), s2, log_norm)
+        shifted = mix._joint_from(*mix._centred_terms(mix._batch(x)), s2, log_norm)
         top = _shift_rows(shifted)
         want_shifted, want_top, want_s2 = reference_log_joint(mix, x, sigma)
         assert same_bits(shifted, want_shifted) and same_bits(top, want_top)
@@ -480,10 +482,14 @@ class TestGuidedPass:
 
     def test_never_writes_x(self):
         cond, null, x = benchmark_sized_mixtures(8)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
         before = x.tobytes()
         for sigma in (0.0, 0.7):
-            out = GaussianMixtureDenoiser({"obj": cond, None: null}).guided(x, sigma, "obj", 2.9)
-            assert x.tobytes() == before and not np.shares_memory(out, x)
+            for points in (x, x[3]):  # a batch and one point
+                out = den.guided(points, sigma, "obj", 2.9)
+                assert x.tobytes() == before and not np.shares_memory(out, x)
+                assert out.shape == points.shape
+        assert same_bits(den.guided(x[3], 0.0, "obj", 2.9), x[3])
 
     @pytest.mark.parametrize("guidance", [0.0, 1.0, 1.95, 2.9])
     def test_sampler_routes_agree(self, guidance):
@@ -524,6 +530,17 @@ class TestGuidedPass:
         assert same_bits(point, row[0])
         empty = ddim_sample(den, sched, cond="obj", guidance=w, x_init=x0[:0])
         assert empty.shape == (0, 256)
+
+    def test_scalar_point_keeps_its_shape(self):
+        """A number is one point of a 1-D mixture, and comes back as a number from every
+        route, as the plain-callable chain returns it."""
+        mix = GaussianMixture([0.5, 0.5], [[1.0], [-1.0]], [0.1, 0.1])
+        den = GaussianMixtureDenoiser({"obj": mix, None: mix})
+        sched = make_sigma_schedule(10.0, 0.01, 3)
+        plain = ddim_sample(lambda x, s, c=None: den(x, s, c), sched, x_init=0.3)
+        for out in (mix.posterior_mean(0.3, 0.5), mix.posterior_mean(0.3, 0.0),
+                    den.guided(0.3, 0.5, "obj", 2.0), ddim_sample(den, sched, x_init=0.3)):
+            assert out.shape == plain.shape == ()
 
     def test_unit_guidance_takes_the_plain_call(self):
         """At w = 1 the chain reads the conditional mixture alone, as the plain call does,

@@ -545,6 +545,19 @@ class TestFitEnvmap:
         with pytest.raises(ValueError):
             fit_envmap([(rgb, normals, albedo)], init=default_envmap(4), iterations=2)
 
+    @pytest.mark.parametrize("field, n", [("foreground", 5), ("albedo", 7), ("normals", 9)],
+                             ids=["foreground-short", "albedo-short", "normals-short"])
+    def test_point_count_mismatch_named(self, field, n):
+        # A named error, not an IndexError from the mask or a broadcast error inside the fit.
+        views = self._make_views(default_envmap(4), np.random.default_rng(26), 2, 10)
+        bufs = dict(zip(("rgb", "normals", "albedo"), views[1]), foreground=np.ones(10, bool))
+        bufs[field] = bufs[field][:n]
+        views[1] = tuple(bufs.values())
+        counts = {name: n if name == field else 10 for name in bufs}
+        want = "rgb {rgb}, normals {normals}, albedo {albedo} and foreground {foreground}"
+        with pytest.raises(ValueError, match=f"^view 1 .*got {want.format(**counts)}$"):
+            fit_envmap(views, init=default_envmap(4), iterations=2)
+
     @pytest.mark.parametrize("iterations", [-1, 2.5, 2.0, "3"],
                              ids=["negative", "fractional", "float", "str"])
     def test_bad_iterations_rejected(self, iterations):

@@ -31,3 +31,27 @@ def test_sample_digest_saves_and_compares(tmp_path):
     changes = dict(pair.split(" ") for m in second for pair in m[4].split(", "))
     assert set(changes) == {"sample", "log_marginal", "posterior_cond", "posterior_null", "guided"}
     assert set(changes.values()) == {"0.0e+00"}, changes
+
+
+def render_ab(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "render_ab.py"), *args],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+
+def test_render_ab_reports_one_line_per_case():
+    """Two pairs of the sampler op against this same checkout, in two worker processes."""
+    out = render_ab(str(ROOT), "--case", "orbit_sample_cfg", "--pairs", "2")
+    assert out.returncode == 0, out.stderr
+    number = r"\d+\.\d+"
+    report = re.compile(
+        rf"^orbit_sample_cfg +this +{number} ms  other +{number} ms  ratio {number}  "
+        rf"pair IQR {number}-{number}  faster in [012] of 2  faults/op \d+ vs \d+$")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1 and report.match(lines[0]), out.stdout
+
+
+def test_render_ab_rejects_bad_arguments(tmp_path):
+    for args, fault in [((str(ROOT), "--pairs", "0"), "--pairs must be positive"),
+                        ((str(tmp_path),), f"{tmp_path} has no src/orbitforge")]:
+        out = render_ab(*args)
+        assert out.returncode == 2 and fault in out.stderr, out.stderr

@@ -15,6 +15,10 @@ from pair to pair.  Pair i runs op i, which renders or samples frame i % 21
 median op time of each side, the ratio of the medians (this / other, below 1
 when this checkout is faster), the quartiles of the per-pair ratios, the
 pairs this checkout won, and each side's median minor page faults per op.
+Faults per op depend on the worker's heap layout, which its earlier
+allocations set, as well as on the code: one tree has read 160 faults per op
+in one worker and 0 in the other.  One run therefore cannot show that a change
+takes no extra faults.
 
 Cases:
 

@@ -8,13 +8,13 @@ It prints two lines.  ``orbit_sample_cfg`` samples the 21 seed-1
 ``orbit_sample_cfg`` frames, one ``ddim_sample`` call each with that frame's
 triangular CFG strength, and hashes every frame's output and its
 ``log_marginal`` at sigma = 0 under the conditional mixture, in frame order.
-The sampler steps a mixture's chain in the span of the start state and the
-means, at a per-step cost free of dim and with one output product per chain,
-and calls neither ``posterior_mean`` nor ``guided``, so
-``posterior_and_guided`` hashes those two directly: at 5 noise levels of the
-schedule, down to its final 0, one batch of points drawn about the null
-mixture's means at that level, and the conditional and null posterior means
-and the guided blend of that batch.
+The sampler and the mixture's predictions take one route: ``posterior_mean``
+and ``guided`` are its one-step chain, which the sampler does not call through
+those public entry points.  ``posterior_and_guided`` hashes the entry points
+themselves, with their checks and the copy they return at sigma = 0: at 5
+noise levels of the schedule, down to its final 0, one batch of points drawn
+about the null mixture's means at that level, and the conditional and null
+posterior means and the guided blend of that batch.
 The mixtures, schedule, guidance and start states come from the benchmark's
 set-up code in ``bench/workloads.py``, which it only reads.  To compare two
 commits, run this same file in a checkout of each and diff the output.
