@@ -10,19 +10,19 @@ from there, so a forward+backward step marches once.  No hit rays means
 zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
-Every march places its samples on the lattice the same way, and no sample
-position is stored: ``_sample_points`` gives the distances t alone, and a
-sample's clamped lattice coordinate ((o + t * d) + 0.5) * (n - 1) is taken
-from the camera origin o, its ray's direction d and t one axis at a time
-(``_coordinate``).  The cell tests, the SDF cell test and the occupied-cell
-test, index their (n-1)^3 tables with one flat cell index per sample
-(``_cell_index``), and ``_trilinear`` builds the operator of the gathered
-samples, and of the surface points at the expected depths, from a (3, m)
-block of their coordinates.
+Every march places its samples one way (``_placement``): the strata j of
+one window, shared by its rays, on the hit rays that meet a box of cells,
+broadcast over (rays, window); one cell test of an (n-1)^3 table then picks
+the samples to gather.  No sample position is stored: ``_sample_points``
+gives the distances t alone, and a sample's clamped lattice coordinate
+((o + t * d) + 0.5) * (n - 1) is taken from the camera origin o, its ray's
+direction d and t one axis at a time (``_coordinate``), for its flat cell
+index (``_cell_index``) and, from a (3, m) block, for ``_trilinear``'s
+operator of the gathered samples and of the surface points.
 A march is packed, like NerfAcc's samples: every per-sample array has one
-row per gathered sample, in ascending flat (ray, stratum) order
+row per gathered sample, in ascending flat (ray, window stratum) order
 (``_March.keep``), and ``_ray_sums`` adds each ray's terms in that order,
-which exact zeros do not change.  The only dense (rays, samples) step is
+which exact zeros do not change.  The only dense (rays, window) step is
 the two scans, forward's transmittance product and backward's suffix sum,
 which place the packed rows (``_place``) and gather them back
 (``_gather``); both reshape when every sample is gathered.
@@ -34,30 +34,30 @@ Shading normals are the field gradient at the gathered samples, taken by
 than n^3 / ``_STENCIL_COST`` entries, and else from the full-grid node
 gradient and one product; both give the same bits.
 
-A density render whose march is not kept skips empty space exactly.  It
-takes the box of the cells with a nonzero corner, widened by one cell
-(``_occupied_cells``), and gives each hit ray its interval in that box by a
-slab test (``_box_strata``).  A ray that misses the box is not marched: it
-composites as a miss (background, mask 0, depth +inf, normal and illum 0),
-which is what a march of all-zero opacity gives.  On the other rays only
-the strata that may reach the interval are placed, each at the distance a
-full placement gives it, and of those only the samples whose cell has a
-nonzero corner are gathered: field, albedo and normals, and the light.
-Every other sample would interpolate density 0, so its opacity and weight
-are exactly 0, its albedo and light terms multiply 0, and its factor of
-the transmittance is 1 - 0 = 1; the composited buffers keep their bits.
-Backward needs those samples, since their field gradient is not 0, so a
-kept density march places and gathers every sample.  So does a density
-without a zero node.
+A density render whose march is not kept skips empty space exactly.  Its
+box is the cells with a nonzero corner, widened by one cell
+(``_occupied_cells``); a slab test gives each hit ray its interval in the
+box, and the window covers every stratum that may reach one (``_box_strata``).
+A ray that misses the box is not marched: it composites as a miss
+(background, mask 0, depth +inf, normal and illum 0), which is what a march
+of all-zero opacity gives.  The cell test keeps the samples whose cell has a
+nonzero corner.  Every other sample would interpolate density 0, so its
+opacity and weight are exactly 0, its albedo and light terms multiply 0,
+and its factor of the transmittance is 1 - 0 = 1; the composited buffers
+keep their bits.  SDF marches, kept density marches and densities without
+a zero node take the whole lattice as their box: every hit ray and all
+n_samples strata.  A density march there has no cell test; backward needs
+the field gradient of its empty samples, which is not 0.
 
 An SDF's density never reaches 0, so an SDF march, kept or not, drops the
 samples whose every contribution is provably below ``_EPS`` = eps instead,
 and gathers the rest:
 
-1. The cell test (``_sdf_samples``).  The trilinear SDF s is at least the
-   smallest corner s_min of its cell, and sigmoid(x) <= exp(x), so a
-   sample's opacity is a <= dens * dt <= alpha * exp(-s_min / beta) * dt.
-   A sample where that bound is below eps is dropped (density 0).
+1. The cell test.  The trilinear SDF s is at least the smallest corner
+   s_min of its cell, and sigmoid(x) <= exp(x), so a sample's opacity is
+   a <= dens * dt <= alpha * exp(-s_min / beta) * dt.  A sample where that
+   bound is below eps is dropped (density 0): the test keeps
+   s_min <= beta * (log(alpha * dt) - log(eps)), per ray.
 2. The opaque cut.  Every sample whose transmittance T_exc, after step 1,
    is below eps is dropped as well, opacity 0: it is a suffix of the ray,
    so the march is the same truncated function forward and backward.
@@ -234,28 +234,22 @@ def _interp_gradient(field, spacing, op):
     return out
 
 
-def _occupancy(nonzero):
-    """(n-1)^3 cell mask from an n^3 node mask: True where any of the cell's 8 corners is."""
-    occ = nonzero[1:] | nonzero[:-1]
-    occ = occ[:, 1:] | occ[:, :-1]
-    return occ[:, :, 1:] | occ[:, :, :-1]
-
-
-def _cell_min(field):
-    """(n-1)^3 cell minima of an n^3 node field: the smallest of each cell's 8 corners."""
-    low = np.minimum(field[1:], field[:-1])
-    low = np.minimum(low[:, 1:], low[:, :-1])
-    return np.minimum(low[:, :, 1:], low[:, :, :-1])
+def _cell_reduce(nodes, ufunc):
+    """(n-1)^3 cell values of n^3 node values: the binary ``ufunc`` over each cell's 8
+    corners, one axis at a time.  ``np.bitwise_or`` of a node mask marks the cells with a
+    True corner, and ``np.minimum`` of a field gives each cell's smallest corner."""
+    out = ufunc(nodes[1:], nodes[:-1])
+    out = ufunc(out[:, 1:], out[:, :-1])
+    return ufunc(out[:, :, 1:], out[:, :, :-1])
 
 
 def _occupied_cells(nonzero):
     """The cells with a nonzero corner, and the box around them widened by one cell.
 
-    Returns (occ, lo, hi): the (n-1)^3 cell mask of ``_occupancy``, and the
-    (3,) indices of the widened box's lowest cell and of the cell past its
-    highest, -1 and n on a face the occupied cells reach.  The node mask is
-    reduced per axis first and ``_occupancy`` runs on the box alone; every
-    cell outside it is False.  An all-zero mask gives an empty box, lo = hi;
+    Returns (occ, lo, hi): the (n-1)^3 cell mask, and the (3,) indices of the
+    widened box's lowest cell and of the cell past its highest, -1 and n on a
+    face the occupied cells reach.  The node mask is reduced per axis first
+    and ``_cell_reduce`` runs on the box alone; every cell outside it is False.  An all-zero mask gives an empty box, lo = hi;
     a mask without a zero gives None, since every cell is then occupied.
     """
     if nonzero.all():
@@ -270,23 +264,24 @@ def _occupied_cells(nonzero):
         # Cells nodes[0] - 1 to nodes[-1] have a nonzero corner.
         lo.append(max(nodes[0] - 1, 0))
         hi.append(min(nodes[-1] + 1, n - 1))
-    occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = _occupancy(
-        nonzero[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1])
+    occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = _cell_reduce(
+        nonzero[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1], np.bitwise_or)
     return occ, np.array(lo) - 1, np.array(hi) + 1
 
 
 def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
     """The hit rays that meet the box of the cells ``lo`` to ``hi`` - 1 (``_occupied_cells``),
-    and the strata of theirs that may hold a point of it.
+    and one window of strata that holds every point of the box on each of them.
 
     A slab test gives each ray the interval [t_a, t_b] it spends in the box
     and the cube; a ray meets the box when t_a < t_b, which no ray does when
     the box is empty.  A point at t lies in stratum floor((t - t0) / dt), so
     a point of the interval lies in the strata [floor((t_a - t0) / dt),
     ceil((t_b - t0) / dt)); one more on either side absorbs rounding, as the
-    box's border of empty cells does for the slab test.
-    Returns (rays, (rows, j)): the indices of the meeting rays, and for each
-    placed stratum its row in ``rays`` and its index j.
+    box's border of empty cells does for the slab test.  The window runs from
+    the least of the meeting rays' first strata to the greatest of their ends.
+    Returns (rays, j): the indices of the meeting rays and the window's
+    strata, ascending, within [0, n_samples); every stratum when no ray meets.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         near = (-0.5 + lo * spacing - origin) / dirs
@@ -296,28 +291,12 @@ def _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, spacing):
     t_a = np.maximum(t0, np.maximum(np.maximum(enter[:, 0], enter[:, 1]), enter[:, 2]))
     t_b = np.minimum(t1, np.minimum(np.minimum(leave[:, 0], leave[:, 1]), leave[:, 2]))
     rays = np.flatnonzero(t_a < t_b)
+    if not rays.size:
+        return rays, np.arange(n_samples)
     t0, dt = t0[rays], dt[rays]
-    first = np.maximum(np.floor((t_a[rays] - t0) / dt) - 1, 0).astype(np.int64)
-    stop = np.minimum(np.ceil((t_b[rays] - t0) / dt) + 1, n_samples).astype(np.int64)
-    counts = stop - first
-    rows = np.repeat(np.arange(len(rays)), counts)
-    j = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    return rays, (rows, j)
-
-
-def _sdf_samples(grid, origin, dirs, t, dt):
-    """Ascending flat indices of the (rays, samples) samples origin + t * dirs of an SDF grid
-    whose opacity may reach ``_EPS``; ``dirs`` broadcasts against ``t[..., None]``.
-
-    A sample's density is at most alpha * exp(-s / beta) <= alpha * exp(-s_min / beta),
-    s_min the smallest corner of its cell, and its opacity at most that times
-    its ray's spacing ``dt``; a sample whose bound is below ``_EPS`` is dropped.
-    """
-    with np.errstate(divide="ignore"):
-        log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
-    limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
-    s_min = _cell_min(grid.field).reshape(-1)[_cell_index(origin, dirs, t, grid.resolution)]
-    return np.flatnonzero(s_min <= limit[:, None])
+    first = int(np.floor((t_a[rays] - t0) / dt).min()) - 1
+    stop = int(np.ceil((t_b[rays] - t0) / dt).max()) + 1
+    return rays, np.arange(max(first, 0), min(stop, n_samples))
 
 
 def _unit_normals(grid, gvec):
@@ -365,21 +344,48 @@ def table_scatter(shape, lop, weights):
     return (lop.T @ weights.ravel()).reshape(shape)
 
 
-def _sample_points(pix, t0, dt, n_samples, jitter_seed, strata=None):
-    """Sample distances on the hit rays.
+def _sample_points(pix, t0, dt, j, jitter_seed):
+    """Sample distances of the strata ``j`` on the hit rays, shaped (rays, len(j)).
 
     Stratum j of a ray holds one sample at t0 + (j + jitter) * dt, the jitter
-    keyed by (pixel, j).  Every stratum of every ray is placed, shaped
-    (rays, n_samples), unless ``strata`` = (rows, j) names the strata to place,
-    one sample each, shaped (m,); a sample has the same bits either way.  The
-    distances are computed in the jitter's array.
+    keyed by (pixel, j), so a sample has the same bits in every window that
+    places it.  The distances are computed in the jitter's array.
     """
-    rows, j = (np.s_[:, None], np.arange(n_samples)) if strata is None else strata
-    t = hash01(pix[rows], j, jitter_seed)
+    t = hash01(pix[:, None], j, jitter_seed)
     t += j
-    t *= dt[rows]
-    t += t0[rows]
+    t *= dt[:, None]
+    t += t0[:, None]
     return t
+
+
+def _placement(grid, origin, dirs, t0, t1, dt, pix, n_samples, jitter_seed, keep_march):
+    """Place a march's samples on one window of strata and pick the ones it gathers (module
+    docstring).  Returns (rays, j, keep, rows, t, along): the marched hit rays (a slice for
+    all), the window j, the ascending flat (ray, window stratum) indices of the picked samples
+    and their rays, and their distances t and directions, which broadcast against
+    ``t[..., None]``: (rays, len(j)) and (rays, 1, 3) when every sample is picked."""
+    sdf = grid.kind == "sdf"
+    rays, j, table = slice(None), np.arange(n_samples), None
+    if sdf:
+        with np.errstate(divide="ignore"):
+            log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
+        limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
+        table = _cell_reduce(grid.field, np.minimum)
+    elif not keep_march and (box := _occupied_cells(grid.field != 0.0)) is not None:
+        table, lo, hi = box
+        rays, j = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
+        dirs, t0, dt, pix = dirs[rays], t0[rays], dt[rays], pix[rays]
+    t = _sample_points(pix, t0, dt, j, jitter_seed)
+    along = dirs[:, None]
+    if table is None:
+        keep = np.arange(t.size)
+    else:
+        picked = table.reshape(-1)[_cell_index(origin, along, t, grid.resolution)]
+        keep = np.flatnonzero(picked <= limit[:, None] if sdf else picked)
+    rows = keep // len(j)
+    if len(keep) < t.size:
+        t, along = t.reshape(-1)[keep], dirs[rows]
+    return rays, j, keep, rows, t, along
 
 
 class _March(NamedTuple):
@@ -454,16 +460,17 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     """March the hit rays once and composite them into per-ray buffers.
 
     ``origin`` is the camera position, and ``dirs``, ``t0``, ``t1`` and the
-    flat pixel indices ``pix`` describe the hit rays only.  Samples are placed
-    by their distances t; their cells and trilinear weights come from
-    origin + t * dir one axis at a time (module docstring).  ``normals`` are
-    the whole image's frozen (height, width, samples, 3) shading normals, or
-    None to take them from the field gradient at the gathered samples
-    (``_interp_gradient``).  An SDF grid gathers only the samples that pass
-    the cell test and lie before the opaque cut.  Unless the caller keeps the
-    march (``keep_march``), a density grid marches only the rays that meet
-    the box of its occupied cells, places only their strata that may reach
-    it, and gathers only the samples of occupied cells (module docstring).
+    flat pixel indices ``pix`` describe the hit rays only.  ``_placement``
+    places the samples, by their distances t, on one window of strata of the
+    hit rays that meet its box, and its cell test picks the ones to gather;
+    their cells and trilinear weights come from origin + t * dir one axis at a
+    time (module docstring).  A density march that the caller does not keep
+    (``keep_march``) takes the box of its occupied cells and gathers their
+    samples alone; every other march places every stratum of every hit ray.
+    An SDF march gathers only the samples that pass its cell test and lie
+    before the opaque cut.  ``normals`` are the whole image's frozen
+    (height, width, samples, 3) shading normals, or None to take them from
+    the field gradient at the gathered samples (``_interp_gradient``).
 
     Returns (march, normals, pix, rgb, mask, depth, normal, illum).  With
     ``keep_march`` the march holds what ``backward`` reads and normals are
@@ -477,26 +484,10 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     sdf = grid.kind == "sdf"
     n = grid.resolution
     dt = (t1 - t0) / n_samples
-    cells = None if sdf or keep_march else _occupied_cells(grid.field != 0.0)
-    if cells is None:
-        # Every stratum is placed, (rays, samples), each against its ray's direction.
-        t = _sample_points(pix, t0, dt, n_samples, jitter_seed)
-        along = dirs[:, None]
-        keep = _sdf_samples(grid, origin, along, t, dt) if sdf else np.arange(t.size)
-        rows = keep // n_samples
-        if len(keep) < t.size:
-            t, along = t.reshape(-1)[keep], dirs[rows]
-    else:
-        # Only the rays that meet the occupied box are marched, on the strata that may reach it.
-        occ, lo, hi = cells
-        rays, (rows, j) = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
-        dirs, t0, pix, dt = dirs[rays], t0[rays], pix[rays], dt[rays]
-        t = _sample_points(pix, t0, dt, n_samples, jitter_seed, (rows, j))
-        along = dirs[rows]
-        occupied = np.flatnonzero(occ.reshape(-1)[_cell_index(origin, along, t, n)])
-        rows, t, along = rows[occupied], t[occupied], along[occupied]
-        keep = rows * n_samples + j[occupied]
-    shape = (len(pix), n_samples)
+    rays, j, keep, rows, t, along = _placement(grid, origin, dirs, t0, t1, dt, pix, n_samples,
+                                               jitter_seed, keep_march)
+    dirs, pix, dt = dirs[rays], pix[rays], dt[rays]
+    shape = (len(pix), len(j))
 
     op = _trilinear(origin, along, t, n)
     t = t.reshape(-1)
@@ -520,7 +511,7 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     if normals is None:
         normals = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))
     else:
-        normals = normals.reshape(-1, 3)[pix[rows] * n_samples + keep % n_samples]
+        normals = normals.reshape(-1, 3)[pix[rows] * n_samples + j[keep % len(j)]]
     lop = _bilinear(ltable.shape, normals)
     light = table_lookup(ltable, lop)
     w = t_exc * a

@@ -170,16 +170,18 @@ def render(
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
     normals of the march are returned too, ``normals_override``'s or else the
     field's, zero at the samples the march did not gather.  Either of the two
-    keeps the march, which makes a density grid's march place and gather
-    every sample; without them a density render marches only the rays
-    that meet the box of its occupied cells, on the strata that may reach it,
+    keeps the march.  Every march places one window of strata on the hit rays
+    that meet a box of cells and gathers the samples a cell test picks.  A
+    density render without a kept march takes the box of its occupied cells:
+    it marches only the rays that meet it, on the strata that may reach it,
     gathers only the samples of occupied cells, and renders the other rays as
-    misses, with the same bits.  An SDF grid's march, kept or not, drops the
-    samples whose contributions are provably below ``_render_np._EPS``; the
-    module docstring of ``_render_np`` bounds what that moves.  Shading
-    normals are the field gradient at the gathered samples, from their corner
-    nodes or from the full grid, whichever their count makes cheaper, with the
-    same bits either way.
+    misses, with the same bits; any other march places every stratum of every
+    hit ray, and a kept density march gathers every sample.  An SDF grid's
+    march, kept or not, drops the samples whose contributions are provably
+    below ``_render_np._EPS``; the module docstring of ``_render_np`` bounds
+    what that moves.  Shading normals are the field gradient at the gathered
+    samples, from their corner nodes or from the full grid, whichever their
+    count makes cheaper, with the same bits either way.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not is_integer(samples_per_ray) or samples_per_ray < 2:

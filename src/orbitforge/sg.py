@@ -189,9 +189,12 @@ def irradiance_basis(envmap, normals):
 
     Returns (m, n_lobes) with irradiance = basis @ amplitudes; the
     irradiance is exactly linear in the amplitudes because the clamped
-    lobe products of nonnegative lobes are already nonnegative.
+    lobe products of nonnegative lobes are already nonnegative.  ``normals``
+    must be (m, 3); any other shape is a ``ValueError``.
     """
     normals = np.asarray(normals, dtype=np.float64)
+    if normals.ndim != 2 or normals.shape[1] != 3:
+        raise ValueError(f"normals must have shape (m, 3), got shape {normals.shape}")
     # Four arrays, not one block, which would raise glibc's mmap threshold past later arrays.
     ws = [np.empty((len(envmap), len(normals))) for _ in range(4)]
     return np.ascontiguousarray(_lobe_columns(envmap.axes, envmap.sharpnesses, normals.T, ws).T)

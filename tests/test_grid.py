@@ -83,7 +83,7 @@ class TestOccupancy:
     def test_single_nonzero_node(self, node):
         field = np.zeros((N, N, N))
         field[node] = -2.0
-        occupied = _render_np._occupancy(field != 0.0)
+        occupied = _render_np._cell_reduce(field != 0.0, np.bitwise_or)
         np.testing.assert_array_equal(occupied, _reference_occupancy(field))
         # One cell per axis on which the node sits on the boundary, two per axis inside.
         assert occupied.sum() == np.prod([1 if i in (0, N - 1) else 2 for i in node])
@@ -92,7 +92,7 @@ class TestOccupancy:
     @settings(max_examples=30, deadline=None)
     def test_matches_corner_max(self, seed):
         field = _sparse_field(seed)
-        np.testing.assert_array_equal(_render_np._occupancy(field != 0.0),
+        np.testing.assert_array_equal(_render_np._cell_reduce(field != 0.0, np.bitwise_or),
                                       _reference_occupancy(field))
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -101,7 +101,8 @@ class TestOccupancy:
         field = np.random.default_rng(seed).standard_normal((N, N, N))
         corners = [field[dx:N - 1 + dx, dy:N - 1 + dy, dz:N - 1 + dz]
                    for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
-        np.testing.assert_array_equal(_render_np._cell_min(field), np.min(corners, axis=0))
+        np.testing.assert_array_equal(_render_np._cell_reduce(field, np.minimum),
+                                      np.min(corners, axis=0))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -446,18 +446,19 @@ class TestSlabTestsAgainstReductions:
            box=st.tuples(st.integers(0, 7), st.integers(1, 8)).filter(lambda b: b[0] < b[1]))
     @settings(max_examples=150, deadline=None)
     def test_box_strata(self, origin, dirs, box):
+        """The meeting rays keep their bits, and the window is the least of their first
+        strata to the greatest of their ends, within [0, SAMPLES); every stratum when none
+        meets."""
         m = len(dirs)
         t0, t1, dt = np.zeros(m), np.full(m, 2.0), np.full(m, 2.0 / SAMPLES)
         lo, hi = np.full(3, box[0]), np.full(3, box[1])
-        rays, (rows, j) = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi,
-                                                 1.0 / 8)
+        rays, j = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi, 1.0 / 8)
         want_rays, first, stop = reference_box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo,
                                                       hi, 1.0 / 8)
         assert rays.tobytes() == want_rays.tobytes()
-        counts = np.bincount(rows, minlength=len(rays))
-        assert counts.tobytes() == (stop - first).tobytes()
-        assert j.tobytes() == np.concatenate(
-            [np.arange(a, b) for a, b in zip(first, stop)] + [np.zeros(0, np.int64)]).tobytes()
+        window = (first.min(), stop.max()) if len(rays) else (0, SAMPLES)
+        assert j.tobytes() == np.arange(*window, dtype=np.int64).tobytes()
+        assert 0 <= window[0] < window[1] <= SAMPLES
 
 
 class TestNoRayHitsTheCube:
@@ -761,23 +762,23 @@ SPARSE_CASES = ["interior", "face", "corner", "blobs"]
 
 def placed_strata(field, origin, dirs, jitter_seed):
     """The full placement's samples of the rays (origin, dirs) that lie in an occupied
-    cell, whether ``_box_strata`` placed each, and whether a placed sample kept its bits."""
+    cell, whether ``_box_strata``'s window placed each, and whether a placed sample kept its
+    bits."""
     n = field.shape[0]
     t0, t1, hit = intersect_unit_cube(origin, dirs)
     pix = np.flatnonzero(hit)
     dirs, t0, t1 = dirs.reshape(-1, 3)[pix], t0.ravel()[pix], t1.ravel()[pix]
     dt = (t1 - t0) / SAMPLES
-    t = _render_np._sample_points(pix, t0, dt, SAMPLES, jitter_seed)
-    occupied = _render_np._occupancy(field != 0.0).reshape(-1)[
+    t = _render_np._sample_points(pix, t0, dt, np.arange(SAMPLES), jitter_seed)
+    occupied = _render_np._cell_reduce(field != 0.0, np.bitwise_or).reshape(-1)[
         _render_np._cell_index(origin, dirs[:, None], t, n)]
     _, lo, hi = _render_np._occupied_cells(field != 0.0)
-    rays, (rows, j) = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi,
-                                             1.0 / (n - 1))
+    rays, j = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi, 1.0 / (n - 1))
+    assert 0 <= j[0] and j[-1] < SAMPLES
     placed = np.zeros((len(pix), SAMPLES), dtype=bool)
-    placed[rays[rows], j] = True
-    got_t = _render_np._sample_points(pix[rays], t0[rays], dt[rays], SAMPLES, jitter_seed,
-                                      (rows, j))
-    same_bits = got_t.tobytes() == t[rays[rows], j].tobytes()
+    placed[rays[:, None], j] = True
+    got_t = _render_np._sample_points(pix[rays], t0[rays], dt[rays], j, jitter_seed)
+    same_bits = got_t.tobytes() == t[rays[:, None], j].tobytes()
     return occupied.reshape(placed.shape), placed, same_bits
 
 
@@ -810,7 +811,7 @@ class TestRayIntervals:
         n = 8
         field = sparse_field(case, n)
         h = 1.0 / (n - 1)
-        occupied_cells = np.argwhere(_render_np._occupancy(field != 0.0))
+        occupied_cells = np.argwhere(_render_np._cell_reduce(field != 0.0, np.bitwise_or))
         lo = -0.5 + occupied_cells.min(axis=0) * h
         hi = -0.5 + (occupied_cells.max(axis=0) + 1) * h
         mid = (lo + hi) / 2.0
@@ -875,6 +876,28 @@ class TestRayIntervals:
         placed.clear()
         render(SceneGrid.empty("density", 16), camera(), light_table(), samples_per_ray=SAMPLES)
         assert placed == [0]
+
+    @pytest.mark.parametrize("kind, keep", [("sdf", False), ("sdf", True), ("blobs", True),
+                                            ("density", False)],
+                             ids=["sdf", "kept-sdf", "kept-density", "zero-free-density"])
+    def test_whole_lattice_marches_place_every_stratum(self, monkeypatch, kind, keep):
+        """SDF, kept and zero-free density marches place j = 0..SAMPLES - 1 on every hit ray."""
+        placed = []
+        sample_points = _render_np._sample_points
+
+        def recorded(pix, t0, dt, j, jitter_seed):
+            placed.append((pix, j))
+            return sample_points(pix, t0, dt, j, jitter_seed)
+
+        monkeypatch.setattr(_render_np, "_sample_points", recorded)
+        grid = (SceneGrid("density", sparse_field(kind, 16), np.full((16, 16, 16, 3), 0.5))
+                if kind == "blobs" else scene(kind))
+        assert (grid.field != 0.0).all() == (kind != "blobs")
+        render(grid, camera(), light_table(), samples_per_ray=SAMPLES, want_cache=keep)
+        hit = intersect_unit_cube(*camera_rays(camera()))[2]
+        [(pix, j)] = placed
+        assert pix.tobytes() == np.flatnonzero(hit).tobytes()
+        assert j.tobytes() == np.arange(SAMPLES).tobytes()
 
     @pytest.mark.parametrize("pose", [(20.0, 35.0, 2.0), (10.0, 180.0, 0.3)],
                              ids=["outside", "inside"])

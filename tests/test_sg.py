@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ class TestIrradiance:
         scaled = Envmap(tuple(
             SphericalGaussian(g.axis, g.sharpness, 4.0 * g.amplitude) for g in env.lobes))
         assert irradiance_many(scaled, n[None])[0] == pytest.approx(4.0 * base, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 4, 3), (4, 5, 3)],
+                             ids=["one-normal", "square-image", "image"])
+    def test_normals_not_m_by_3_rejected(self, shape):
+        """One (3,) normal, or an image of them, is a ValueError naming its shape rather than
+        copies of one irradiance, a mixed-up vector or a broadcast error."""
+        env = Envmap(tuple(random_lobe(np.random.default_rng(8)) for _ in range(5)))
+        normals = np.broadcast_to(EZ, shape)
+        for f in (irradiance_basis, irradiance_many):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                f(env, normals)
 
 
 class TestShadeAndLoss:

@@ -33,6 +33,18 @@ def test_sample_digest_saves_and_compares(tmp_path):
     assert set(changes.values()) == {"0.0e+00"}, changes
 
 
+def test_render_digest_prints_every_scene():
+    """One line per scene, in order, each with its array count and SHA-256."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "render_digest.py")],
+                         cwd=ROOT, capture_output=True, text=True, check=True, timeout=300)
+    lines = [LINE.match(line) for line in out.stdout.splitlines()]
+    assert all(lines), out.stdout
+    assert [m[1] for m in lines] == [
+        "density128_forward", "sdf64_training", "density128_training", "gaussian64_forward",
+        "hard_sphere64_forward", "miss_2x2_training", "sdf64_forward", "face_blob64_forward"]
+    assert all(int(m[2]) > 0 and m[4] is None for m in lines), out.stdout
+
+
 def render_ab(*args):
     return subprocess.run([sys.executable, str(ROOT / "tools" / "render_ab.py"), *args],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)

@@ -28,7 +28,10 @@ Cases:
 - ``dense_view128``: a forward-only view of a 128^3 30 * exp(-(r / 0.25)^2)
   density with uniform albedo 0.5, where every sample is gathered;
 - ``kept_density128``: ``orbit_view_density128``'s grid rendered with its
-  march kept and then differentiated, which also gathers every sample.
+  march kept and then differentiated, which also gathers every sample;
+- ``sdf_view64``: a forward-only render of ``orbit_fit_sdf64``'s views, whose
+  march places every stratum and gathers the samples that pass the SDF cell
+  test, with no backward pass.
 
 The benchmark's seed-1 set-up serves every case.
 """
@@ -56,20 +59,23 @@ def bench_op(name):
     return build
 
 
+def forward_views(w, grid, scene):
+    """Op i renders view i % 21 of ``scene``'s orbit of ``grid``, forward only."""
+    def op(i):
+        view = i % w.N_VIEWS
+        return w.R.render(grid, scene.cameras[view], scene.light,
+                          samples_per_ray=w.SAMPLES_PER_RAY, jitter_seed=view)
+    return op
+
+
 def dense_view128(w):
     scene = w.WORKLOADS["orbit_view_density128"]()
     scene.setup(SEED)
-    cameras, light = scene.cameras, scene.light
     x = np.linspace(-0.5, 0.5, 128)
     r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
     grid = w.G.SceneGrid("density", 30.0 * np.exp(-((r / 0.25) ** 2)),
                          np.full((128, 128, 128, 3), 0.5))
-
-    def op(i):
-        view = i % w.N_VIEWS
-        return w.R.render(grid, cameras[view], light,
-                          samples_per_ray=w.SAMPLES_PER_RAY, jitter_seed=view)
-    return op
+    return forward_views(w, grid, scene)
 
 
 def kept_density128(w):
@@ -91,6 +97,12 @@ def kept_density128(w):
     return op
 
 
+def sdf_view64(w):
+    scene = w.WORKLOADS["orbit_fit_sdf64"]()
+    scene.setup(SEED)
+    return forward_views(w, scene.grid, scene)
+
+
 CASES = {
     "orbit_fit_sdf64": bench_op("orbit_fit_sdf64"),
     "orbit_view_density128": bench_op("orbit_view_density128"),
@@ -98,6 +110,7 @@ CASES = {
     "orbit_sample_cfg": bench_op("orbit_sample_cfg"),
     "dense_view128": dense_view128,
     "kept_density128": kept_density128,
+    "sdf_view64": sdf_view64,
 }
 
 
