@@ -10,15 +10,20 @@ from there, so a forward+backward step marches once.  No hit rays means
 zero-length arrays.
 Samples sit at a fixed per-pixel hash jitter, so the output is bitwise
 reproducible for a given ``jitter_seed``.
-Every march places its samples one way (``_placement``): the strata j of
-one window, shared by its rays, on the hit rays that meet a box of cells,
-broadcast over (rays, window); one cell test of an (n-1)^3 table then picks
-the samples to gather.  No sample position is stored: ``_sample_points``
-gives the distances t alone, and a sample's clamped lattice coordinate
-((o + t * d) + 0.5) * (n - 1) is taken from the camera origin o, its ray's
-direction d and t one axis at a time (``_coordinate``), for its flat cell
-index (``_cell_index``) and, from a (3, m) block, for ``_trilinear``'s
-operator of the gathered samples and of the surface points.
+Every march that selects its samples does it by one boolean node mask
+(``_placement``): the cells with a True corner form an (n-1)^3 table occ and
+a box, widened by one cell (``_occupied_cells``); the strata j of one window
+that covers the box on every hit ray that meets it are placed on those
+rays, broadcast over (rays, window) (``_box_strata``), and occ[cell] picks
+the samples to gather.  A mask without a False node places every stratum
+of every hit ray.  ``_March.j`` keeps the window, through which
+``_sample_index`` maps a gathered sample to its (pixel, stratum).  No
+sample position is stored: ``_sample_points`` gives the distances t alone,
+and a sample's clamped lattice coordinate ((o + t * d) + 0.5) * (n - 1) is
+taken from the camera origin o, its ray's direction d and t one axis at a
+time (``_coordinate``), for its flat cell index (``_cell_index``) and, from
+a (3, m) block, for ``_trilinear``'s operator of the gathered samples and
+of the surface points.
 A march is packed, like NerfAcc's samples: every per-sample array has one
 row per gathered sample, in ascending flat (ray, window stratum) order
 (``_March.keep``), and ``_ray_sums`` adds each ray's terms in that order,
@@ -34,30 +39,25 @@ Shading normals are the field gradient at the gathered samples, taken by
 than n^3 / ``_STENCIL_COST`` entries, and else from the full-grid node
 gradient and one product; both give the same bits.
 
-A density render whose march is not kept skips empty space exactly.  Its
-box is the cells with a nonzero corner, widened by one cell
-(``_occupied_cells``); a slab test gives each hit ray its interval in the
-box, and the window covers every stratum that may reach one (``_box_strata``).
-A ray that misses the box is not marched: it composites as a miss
-(background, mask 0, depth +inf, normal and illum 0), which is what a march
-of all-zero opacity gives.  The cell test keeps the samples whose cell has a
-nonzero corner.  Every other sample would interpolate density 0, so its
-opacity and weight are exactly 0, its albedo and light terms multiply 0,
-and its factor of the transmittance is 1 - 0 = 1; the composited buffers
-keep their bits.  SDF marches, kept density marches and densities without
-a zero node take the whole lattice as their box: every hit ray and all
-n_samples strata.  A density march there has no cell test; backward needs
-the field gradient of its empty samples, which is not 0.
+A density march that is not kept has the mask field != 0 and skips empty
+space exactly.  A ray that misses the box is not marched: it composites as
+a miss (background, mask 0, depth +inf, normal and illum 0), which is what a
+march of all-zero opacity gives.  A sample that occ drops would
+interpolate density 0, so its opacity and weight are exactly 0, its albedo
+and light terms multiply 0, and its factor of the transmittance is
+1 - 0 = 1; the composited buffers keep their bits.  A kept density march
+has no mask: backward needs the field gradient of its empty samples.
 
 An SDF's density never reaches 0, so an SDF march, kept or not, drops the
 samples whose every contribution is provably below ``_EPS`` = eps instead,
 and gathers the rest:
 
-1. The cell test.  The trilinear SDF s is at least the smallest corner
-   s_min of its cell, and sigmoid(x) <= exp(x), so a sample's opacity is
-   a <= dens * dt <= alpha * exp(-s_min / beta) * dt.  A sample where that
-   bound is below eps is dropped (density 0): the test keeps
-   s_min <= beta * (log(alpha * dt) - log(eps)), per ray.
+1. The mask.  The trilinear SDF s is at least the smallest corner s_min of
+   its cell, and sigmoid(x) <= exp(x), so a sample's opacity is
+   a <= dens * dt <= alpha * exp(-s_min / beta) * dt_max, dt_max the largest
+   dt of the hit rays.  The mask is field <= L with
+   L = beta * (log(alpha * dt_max) - log(eps)), so every sample it drops has
+   a < eps (density 0); a ray that misses its box composites as a miss.
 2. The opaque cut.  Every sample whose transmittance T_exc, after step 1,
    is below eps is dropped as well, opacity 0: it is a suffix of the ray,
    so the march is the same truncated function forward and backward.
@@ -234,38 +234,37 @@ def _interp_gradient(field, spacing, op):
     return out
 
 
-def _cell_reduce(nodes, ufunc):
-    """(n-1)^3 cell values of n^3 node values: the binary ``ufunc`` over each cell's 8
-    corners, one axis at a time.  ``np.bitwise_or`` of a node mask marks the cells with a
-    True corner, and ``np.minimum`` of a field gives each cell's smallest corner."""
-    out = ufunc(nodes[1:], nodes[:-1])
-    out = ufunc(out[:, 1:], out[:, :-1])
-    return ufunc(out[:, :, 1:], out[:, :, :-1])
+def _cell_reduce(nodes):
+    """The (n-1)^3 cells with a True corner in an n^3 node mask, or-ed one axis at a time."""
+    out = nodes[1:] | nodes[:-1]
+    out = out[:, 1:] | out[:, :-1]
+    return out[:, :, 1:] | out[:, :, :-1]
 
 
-def _occupied_cells(nonzero):
-    """The cells with a nonzero corner, and the box around them widened by one cell.
+def _occupied_cells(mask):
+    """The cells with a True corner in a node mask, and their box widened by one cell.
 
     Returns (occ, lo, hi): the (n-1)^3 cell mask, and the (3,) indices of the
     widened box's lowest cell and of the cell past its highest, -1 and n on a
     face the occupied cells reach.  The node mask is reduced per axis first
-    and ``_cell_reduce`` runs on the box alone; every cell outside it is False.  An all-zero mask gives an empty box, lo = hi;
-    a mask without a zero gives None, since every cell is then occupied.
+    and ``_cell_reduce`` runs on the box alone; every cell outside it is
+    False.  An all-False mask gives an empty box, lo = hi, and an all-True
+    one None, since every cell is then occupied.
     """
-    if nonzero.all():
+    if mask.all():
         return None
-    n = nonzero.shape[0]
+    n = mask.shape[0]
     occ = np.zeros((n - 1,) * 3, dtype=bool)
     lo, hi = [], []
-    yz = nonzero.any(axis=0)
-    for nodes in map(np.flatnonzero, (nonzero.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))):
+    yz = mask.any(axis=0)
+    for nodes in map(np.flatnonzero, (mask.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))):
         if nodes.size == 0:
             return occ, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
-        # Cells nodes[0] - 1 to nodes[-1] have a nonzero corner.
+        # Cells nodes[0] - 1 to nodes[-1] have a True corner.
         lo.append(max(nodes[0] - 1, 0))
         hi.append(min(nodes[-1] + 1, n - 1))
     occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = _cell_reduce(
-        nonzero[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1], np.bitwise_or)
+        mask[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1])
     return occ, np.array(lo) - 1, np.array(hi) + 1
 
 
@@ -364,35 +363,38 @@ def _placement(grid, origin, dirs, t0, t1, dt, pix, n_samples, jitter_seed, keep
     all), the window j, the ascending flat (ray, window stratum) indices of the picked samples
     and their rays, and their distances t and directions, which broadcast against
     ``t[..., None]``: (rays, len(j)) and (rays, 1, 3) when every sample is picked."""
-    sdf = grid.kind == "sdf"
-    rays, j, table = slice(None), np.arange(n_samples), None
-    if sdf:
-        with np.errstate(divide="ignore"):
-            log_eps = np.log(_EPS)  # -inf at 0, where nothing is dropped
-        limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt) - log_eps)
-        table = _cell_reduce(grid.field, np.minimum)
-    elif not keep_march and (box := _occupied_cells(grid.field != 0.0)) is not None:
-        table, lo, hi = box
+    rays, j, occ = slice(None), np.arange(n_samples), None
+    if grid.kind == "sdf":  # ln 0 = -inf: every node at eps = 0, none without hit rays
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limit = grid.sdf_beta * (np.log(grid.sdf_alpha * dt.max(initial=0.0)) - np.log(_EPS))
+        mask = grid.field <= limit
+    else:
+        mask = None if keep_march else grid.field != 0.0
+    if mask is not None and (box := _occupied_cells(mask)) is not None:
+        occ, lo, hi = box
         rays, j = _box_strata(origin, dirs, t0, t1, dt, n_samples, lo, hi, grid.spacing)
         dirs, t0, dt, pix = dirs[rays], t0[rays], dt[rays], pix[rays]
     t = _sample_points(pix, t0, dt, j, jitter_seed)
     along = dirs[:, None]
-    if table is None:
-        keep = np.arange(t.size)
-    else:
-        picked = table.reshape(-1)[_cell_index(origin, along, t, grid.resolution)]
-        keep = np.flatnonzero(picked <= limit[:, None] if sdf else picked)
+    keep = (np.arange(t.size) if occ is None else
+            np.flatnonzero(occ.reshape(-1)[_cell_index(origin, along, t, grid.resolution)]))
     rows = keep // len(j)
     if len(keep) < t.size:
         t, along = t.reshape(-1)[keep], dirs[rows]
     return rays, j, keep, rows, t, along
 
 
+def _sample_index(pix, j, keep, n_samples):
+    """The flat (pixel, stratum) index of each sample ``keep`` of a march on ``pix`` and ``j``."""
+    rows, col = np.divmod(keep, len(j))
+    return pix[rows] * n_samples + j[col]
+
+
 class _March(NamedTuple):
     """The gathered samples of the marched rays, one row each in ``keep`` order, and their
     three operators; ``dt`` and ``t_final`` have one row per marched ray."""
 
-    n_samples: int  # strata per ray
+    j: np.ndarray  # the window of strata placed on every marched ray
     dt: np.ndarray  # sample spacing
     t_final: np.ndarray  # transmittance after the ray's last sample
     keep: np.ndarray  # ascending flat (ray, stratum) indices of the gathered samples
@@ -462,15 +464,14 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     ``origin`` is the camera position, and ``dirs``, ``t0``, ``t1`` and the
     flat pixel indices ``pix`` describe the hit rays only.  ``_placement``
     places the samples, by their distances t, on one window of strata of the
-    hit rays that meet its box, and its cell test picks the ones to gather;
-    their cells and trilinear weights come from origin + t * dir one axis at a
-    time (module docstring).  A density march that the caller does not keep
-    (``keep_march``) takes the box of its occupied cells and gathers their
-    samples alone; every other march places every stratum of every hit ray.
-    An SDF march gathers only the samples that pass its cell test and lie
-    before the opaque cut.  ``normals`` are the whole image's frozen
-    (height, width, samples, 3) shading normals, or None to take them from
-    the field gradient at the gathered samples (``_interp_gradient``).
+    hit rays that meet the box of a node mask, and the mask's cells pick the
+    ones to gather: field != 0 for a density march that the caller does not
+    keep (``keep_march``), and field <= L for an SDF march, kept or not,
+    which also drops the samples past the opaque cut (module docstring).  A
+    kept density march gathers every stratum of every hit ray.  ``normals``
+    are the whole image's frozen (height, width, samples, 3) shading
+    normals, or None to take them from the field gradient at the gathered
+    samples (``_interp_gradient``).
 
     Returns (march, normals, pix, rgb, mask, depth, normal, illum).  With
     ``keep_march`` the march holds what ``backward`` reads and normals are
@@ -511,12 +512,12 @@ def forward(grid, ltable, background, *, origin, dirs, t0, t1, pix, n_samples, j
     if normals is None:
         normals = _unit_normals(grid, _interp_gradient(grid.field, grid.spacing, op))
     else:
-        normals = normals.reshape(-1, 3)[pix[rows] * n_samples + j[keep % len(j)]]
+        normals = normals.reshape(-1, 3)[_sample_index(pix, j, keep, n_samples)]
     lop = _bilinear(ltable.shape, normals)
     light = table_lookup(ltable, lop)
     w = t_exc * a
     weights = _ray_sums(rows, shape[0], w)
-    m = _March(n_samples, dt, t_final, keep, op, lop, weights, t, dens, alb, a, t_exc, w, light)
+    m = _March(j, dt, t_final, keep, op, lop, weights, t, dens, alb, a, t_exc, w, light)
 
     rgb = _ray_sums(rows, shape[0], w * light) @ alb
     rgb += t_final[:, None] * background[None, :]
@@ -549,10 +550,8 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     ``forward`` gathered (``cache.march`` of the rays ``cache.ridx``), and
     the scatters are the transposes of the operators it built.
     """
-    grid = cache.grid
-    ridx = cache.ridx
-    m = cache.march
-    rows = m.keep // m.n_samples
+    grid, ridx, m = cache.grid, cache.ridx, cache.march
+    rows = m.keep // len(m.j)
 
     grgb = g_rgb.reshape(-1, 3)[ridx]
     g_mask, g_depth, g_illum = (g.ravel()[ridx] for g in (g_mask, g_depth, g_illum))
@@ -571,7 +570,7 @@ def backward(cache, g_rgb, g_mask, g_depth, g_illum):
     grgb_dot_alb = np.einsum("rc,rc->r", grgb, m.alb)
     g_per_w = grgb_dot_alb * m.light + gwc[rows] + gwt[rows] * m.t + gwl[rows] * m.light
     # Suffix sums: S_k = sum_{j>k} G_j w_j + bgdot * T_final, over the dense rows.
-    shape = (len(ridx), m.n_samples)
+    shape = (len(ridx), len(m.j))
     suffix = np.cumsum(_place(shape, m.keep, g_per_w * m.w, 0.0)[:, ::-1], axis=1)[:, ::-1]
     suffix = np.concatenate([suffix[:, 1:], np.zeros((shape[0], 1))], axis=1)
     suffix = _gather(suffix, m.keep) + (bgdot * m.t_final)[rows]

@@ -68,6 +68,7 @@ class GaussianMixture:
         self._centroid = means.mean(axis=0)
         self._centred = means - self._centroid
         self._centred_sq = np.einsum("kd,kd->k", self._centred, self._centred)
+        self._gram = self._centred @ self._centred.T  # (K, K), what a chain step reads
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
 
@@ -182,12 +183,11 @@ class GaussianMixture:
         s2, log_norm = self._sigma_terms(sigmas[:-1, None])
         keep = self.variances / s2
         p0, sq0 = self._centred_terms(batch)
-        gram = self._centred @ self._centred.T
         alpha = np.ones_like(sq0)
         b = np.zeros_like(p0)
         for i, c in enumerate(((sigmas[1:] - sigmas[:-1]) / sigmas[:-1]).tolist()):
             ap = alpha * p0
-            prod = ap + b @ gram
+            prod = ap + b @ self._gram
             # ||x_i - c||^2 = alpha^2 sq0 + 2 alpha rowsum(B P0) + rowsum(B (B @ gram)), as
             # prod + ap = 2 alpha P0 + B @ gram; taken before the log-joint overwrites prod.
             sq = alpha * alpha * sq0 + np.einsum("nk,nk->n", b, prod + ap)[:, None]

@@ -124,11 +124,11 @@ class RenderCache:
     """What ``render_backward`` reads: the inputs it differentiates and the forward march.
 
     ``march`` holds the samples the kernel gathered on the marched rays, whose
-    flat pixel indices into the (height, width) image ``shape`` are ``ridx``:
-    all of them for a density grid and the ones not provably negligible for
-    an SDF grid, one row each, with their trilinear and bilinear operators,
-    whose transposes ``render_backward`` scatters through.  It holds no
-    shading normals, which the backward pass treats as constants.
+    flat pixel indices into the (height, width) image ``shape`` are ``ridx``,
+    and its window of strata ``j``: every sample of every hit ray for a
+    density grid and those not provably negligible for an SDF grid, one row
+    each, with the operators whose transposes ``render_backward`` scatters
+    through.  It holds no shading normals, which backward treats as constants.
     """
 
     grid: SceneGrid
@@ -170,18 +170,17 @@ def render(
     ``want_sample_normals`` the (height, width, samples_per_ray, 3) shading
     normals of the march are returned too, ``normals_override``'s or else the
     field's, zero at the samples the march did not gather.  Either of the two
-    keeps the march.  Every march places one window of strata on the hit rays
-    that meet a box of cells and gathers the samples a cell test picks.  A
-    density render without a kept march takes the box of its occupied cells:
-    it marches only the rays that meet it, on the strata that may reach it,
-    gathers only the samples of occupied cells, and renders the other rays as
-    misses, with the same bits; any other march places every stratum of every
-    hit ray, and a kept density march gathers every sample.  An SDF grid's
-    march, kept or not, drops the samples whose contributions are provably
-    below ``_render_np._EPS``; the module docstring of ``_render_np`` bounds
-    what that moves.  Shading normals are the field gradient at the gathered
-    samples, from their corner nodes or from the full grid, whichever their
-    count makes cheaper, with the same bits either way.
+    keeps the march.  An SDF render, and a density render without a kept
+    march, mark the nodes that may matter, field <= L for the SDF and
+    field != 0 for the density; they march only the hit rays that meet the
+    box of the marked cells, on the strata that may reach it, gather only
+    the samples of marked cells, and render the other rays as misses.  The
+    density keeps its bits; the SDF drops only samples whose contributions
+    are provably below ``_render_np._EPS``, and the module docstring of
+    ``_render_np`` bounds what that moves.  A kept density march gathers
+    every sample of every hit ray.  Shading normals are the field gradient at
+    the gathered samples, from their corner nodes or from the full grid,
+    whichever their count makes cheaper, with the same bits either way.
     ``jitter_seed``, an integer in [0, 2**64), keys the per-pixel sample jitter.
     """
     if not is_integer(samples_per_ray) or samples_per_ray < 2:
@@ -213,9 +212,8 @@ def render(
     if want_cache:
         out.append(RenderCache(grid, light, background, hit.shape, pix, march))
     if want_sample_normals:
-        rows, j = np.divmod(march.keep, samples_per_ray)
-        out.append(_render_np._place(sample_shape[:-1], pix[rows] * samples_per_ray + j,
-                                     sample_normals, 0.0))
+        idx = _render_np._sample_index(pix, march.j, march.keep, samples_per_ray)
+        out.append(_render_np._place(sample_shape[:-1], idx, sample_normals, 0.0))
     return tuple(out) if len(out) > 1 else bundle
 
 

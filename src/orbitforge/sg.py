@@ -216,6 +216,8 @@ def illum_loss(image, illum, foreground=None):
         raise ValueError(
             f"image {image.shape} and illumination {illum.shape} resolutions differ"
         )
+    if not (np.isfinite(image).all() and np.isfinite(illum).all()):
+        raise ValueError("image and illum must be finite")
     diff = (hsv_value(image) - illum) ** 2
     if foreground is None:
         return float(diff.mean())

@@ -778,6 +778,77 @@ class TestEulerOrder:
         assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
 
 
+def span_flow(mixture, x_init, w=1.0, split=None, rtol=1e-8, sigma_max=80.0, sigma_end=1e-9):
+    """The probability-flow ODE dx/d ln(sigma) = x - D^w(x; sigma), integrated by DOP853 from
+    x_init at sigma_max down to sigma_end, where it has converged: the state a chain of
+    ``ddim_sample`` approaches as its steps shrink.
+
+    ``mixture`` and ``split`` are the table a chain reads (``GaussianMixture._chain``): the
+    mixture alone at w = 1, else the guided union and its split.  Each state is
+    x = alpha x_init + B @ means and D^w(x) = kappa x + Q @ means (``_factors``), so the
+    flow closes on the (n, K + 1) span coordinates: d alpha = (1 - kappa) alpha and
+    dB = ((1 - kappa) B - Q), per unit of ln(sigma).  The right side is ``_chain``'s step
+    arithmetic, O(n K^2) per evaluation.
+    """
+    from scipy.integrate import solve_ivp
+
+    batch = mixture._batch(x_init)
+    n, k = len(batch), mixture.n_components
+    p0, sq0 = mixture._centred_terms(batch)
+
+    def rhs(tau, y):
+        alpha, b = y[:n, None], y[n:].reshape(n, k)
+        s2, log_norm = mixture._sigma_terms(math.exp(tau))
+        ap = alpha * p0
+        prod = ap + b @ mixture._gram
+        sq = alpha * alpha * sq0 + np.einsum("nk,nk->n", b, prod + ap)[:, None]
+        kappa, q = mixture._factors(mixture._joint_from(prod, sq, s2, log_norm),
+                                    mixture.variances / s2, split, w)
+        return np.concatenate([((1.0 - kappa) * alpha).ravel(), ((1.0 - kappa) * b - q).ravel()])
+
+    # alpha falls to about sqrt(v) / sigma_max, which multiplies an x_init of size sigma_max:
+    # its absolute tolerance is well below rtol.
+    sol = solve_ivp(rhs, (math.log(sigma_max), math.log(sigma_end)),
+                    np.concatenate([np.ones(n), np.zeros(n * k)]), method="DOP853", rtol=rtol,
+                    atol=1e-3 * rtol)
+    assert sol.success, sol.message
+    out = sol.y[:n, -1:] * batch + sol.y[n:, -1].reshape(n, k) @ mixture.means
+    return out.reshape(np.shape(x_init))
+
+
+class TestSpanFlow:
+    """``span_flow``, the converged reference of a mixture's chain, and Euler's order
+    against it."""
+
+    def test_matches_one_gaussian_closed_form(self):
+        rng = np.random.default_rng(11)
+        mu, v = rng.standard_normal(16), 0.2
+        x_init = 80.0 * rng.standard_normal((8, 16))
+        exact = mu + (x_init - mu) * math.sqrt(v / (v + 80.0**2))
+        for rtol in (1e-6, 1e-10):
+            got = span_flow(GaussianMixture([1.0], [mu], [v]), x_init, rtol=rtol)
+            assert np.max(np.abs(got - exact)) <= rtol * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("w", [1.0, 2.9])
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_euler_error_halves_per_doubling(self, k, w):
+        """The median point's error, since under guidance a few points lie near a boundary
+        between components and a chain of few steps takes them to the other side, where
+        the largest or the RMS error does not shrink until the steps resolve it."""
+        cond, null, x_init = benchmark_sized_mixtures(k)
+        den = GaussianMixtureDenoiser({"obj": cond, None: null})
+        mix, split = (cond, None) if w == 1.0 else den._union("obj")
+        exact = span_flow(mix, x_init, w, split)
+        errors = np.array([
+            np.median(np.linalg.norm(ddim_sample(den, make_sigma_schedule(80.0, n_steps=n),
+                                                 x_init=x_init, cond="obj", guidance=w)
+                                     - exact, axis=1))
+            for n in (25, 50, 100, 200, 400)
+        ])
+        ratios = errors[:-1] / errors[1:]
+        assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
+
+
 class TestCfgCombine:
     def test_w_one_is_conditional(self):
         dc = np.array([1.0, 2.0, -0.5])

@@ -83,7 +83,7 @@ class TestOccupancy:
     def test_single_nonzero_node(self, node):
         field = np.zeros((N, N, N))
         field[node] = -2.0
-        occupied = _render_np._cell_reduce(field != 0.0, np.bitwise_or)
+        occupied = _render_np._cell_reduce(field != 0.0)
         np.testing.assert_array_equal(occupied, _reference_occupancy(field))
         # One cell per axis on which the node sits on the boundary, two per axis inside.
         assert occupied.sum() == np.prod([1 if i in (0, N - 1) else 2 for i in node])
@@ -92,17 +92,20 @@ class TestOccupancy:
     @settings(max_examples=30, deadline=None)
     def test_matches_corner_max(self, seed):
         field = _sparse_field(seed)
-        np.testing.assert_array_equal(_render_np._cell_reduce(field != 0.0, np.bitwise_or),
+        np.testing.assert_array_equal(_render_np._cell_reduce(field != 0.0),
                                       _reference_occupancy(field))
 
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1), limit=st.floats(-3.0, 3.0))
     @settings(max_examples=30, deadline=None)
-    def test_cell_min_matches_corner_min(self, seed):
+    def test_cell_min_matches_corner_min(self, seed, limit):
+        """The cells of the node mask field <= L are the cells whose smallest corner is <= L,
+        the SDF march's cell test."""
         field = np.random.default_rng(seed).standard_normal((N, N, N))
         corners = [field[dx:N - 1 + dx, dy:N - 1 + dy, dz:N - 1 + dz]
                    for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
-        np.testing.assert_array_equal(_render_np._cell_reduce(field, np.minimum),
-                                      np.min(corners, axis=0))
+        box = _render_np._occupied_cells(field <= limit)
+        occ = np.ones((N - 1,) * 3, dtype=bool) if box is None else box[0]
+        np.testing.assert_array_equal(occ, np.min(corners, axis=0) <= limit)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -51,17 +51,17 @@ def hard_scene(n, radius=0.3):
                      rng.uniform(0.2, 0.8, (n, n, n, 3)))
 
 
-def scene(kind, n=N):
+def scene(kind, n=N, radius=0.3):
     """A Gaussian density, a soft SDF sphere, or a sharp one ("sharp-sdf", the benchmark's
-    alpha and beta), whose march drops samples."""
+    alpha and beta), whose march drops samples; the SDF spheres have the given radius."""
     rng = np.random.default_rng(3)
     x = np.linspace(-0.5, 0.5, n)
     r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
     albedo = rng.uniform(0.2, 0.8, (n, n, n, 3))
     if kind == "sdf":
-        return SceneGrid("sdf", r - 0.3, albedo, sdf_alpha=40.0, sdf_beta=0.05)
+        return SceneGrid("sdf", r - radius, albedo, sdf_alpha=40.0, sdf_beta=0.05)
     if kind == "sharp-sdf":
-        return SceneGrid("sdf", r - 0.3, albedo, sdf_alpha=150.0, sdf_beta=0.005)
+        return SceneGrid("sdf", r - radius, albedo, sdf_alpha=150.0, sdf_beta=0.005)
     return SceneGrid("density", 30.0 * np.exp(-((r / 0.25) ** 2)), albedo)
 
 
@@ -579,7 +579,7 @@ class TestPackedMarch:
     """A kept march holds one row per gathered sample, in ascending flat (ray, stratum)
     order, in every per-sample field."""
 
-    PER_RAY = ("n_samples", "dt", "t_final", "weights")
+    PER_RAY = ("j", "dt", "t_final", "weights")
 
     @staticmethod
     def inside_camera():
@@ -594,14 +594,16 @@ class TestPackedMarch:
         _, cache = render(scene(kind), cam, light_table(), samples_per_ray=SAMPLES,
                           want_cache=True)
         m = cache.march
-        assert m.n_samples == SAMPLES
+        # The window is a run of consecutive strata within [0, SAMPLES).
+        assert m.j.tobytes() == np.arange(m.j[0], m.j[-1] + 1).tobytes()
+        assert 0 <= m.j[0] and m.j[-1] < SAMPLES
         assert m.dt.shape == m.t_final.shape == cache.ridx.shape
         assert m.weights.shape == (cache.ridx.size, m.op.shape[0])
         rows = m.op.shape[0]
         for name in set(m._fields) - set(self.PER_RAY):
             assert getattr(m, name).shape[0] == rows, name
         assert np.all(np.diff(m.keep) > 0)
-        assert np.all((m.keep >= 0) & (m.keep < cache.ridx.size * SAMPLES))
+        assert np.all((m.keep >= 0) & (m.keep < cache.ridx.size * m.j.size))
 
     def test_sample_normals_of_an_override_are_its_gathered_rows(self):
         """With ``normals_override``, the returned sample normals are its rows at the gathered
@@ -770,7 +772,7 @@ def placed_strata(field, origin, dirs, jitter_seed):
     dirs, t0, t1 = dirs.reshape(-1, 3)[pix], t0.ravel()[pix], t1.ravel()[pix]
     dt = (t1 - t0) / SAMPLES
     t = _render_np._sample_points(pix, t0, dt, np.arange(SAMPLES), jitter_seed)
-    occupied = _render_np._cell_reduce(field != 0.0, np.bitwise_or).reshape(-1)[
+    occupied = _render_np._cell_reduce(field != 0.0).reshape(-1)[
         _render_np._cell_index(origin, dirs[:, None], t, n)]
     _, lo, hi = _render_np._occupied_cells(field != 0.0)
     rays, j = _render_np._box_strata(origin, dirs, t0, t1, dt, SAMPLES, lo, hi, 1.0 / (n - 1))
@@ -811,7 +813,7 @@ class TestRayIntervals:
         n = 8
         field = sparse_field(case, n)
         h = 1.0 / (n - 1)
-        occupied_cells = np.argwhere(_render_np._cell_reduce(field != 0.0, np.bitwise_or))
+        occupied_cells = np.argwhere(_render_np._cell_reduce(field != 0.0))
         lo = -0.5 + occupied_cells.min(axis=0) * h
         hi = -0.5 + (occupied_cells.max(axis=0) + 1) * h
         mid = (lo + hi) / 2.0
@@ -877,11 +879,10 @@ class TestRayIntervals:
         render(SceneGrid.empty("density", 16), camera(), light_table(), samples_per_ray=SAMPLES)
         assert placed == [0]
 
-    @pytest.mark.parametrize("kind, keep", [("sdf", False), ("sdf", True), ("blobs", True),
-                                            ("density", False)],
-                             ids=["sdf", "kept-sdf", "kept-density", "zero-free-density"])
+    @pytest.mark.parametrize("kind, keep", [("blobs", True), ("density", False)],
+                             ids=["kept-density", "zero-free-density"])
     def test_whole_lattice_marches_place_every_stratum(self, monkeypatch, kind, keep):
-        """SDF, kept and zero-free density marches place j = 0..SAMPLES - 1 on every hit ray."""
+        """Kept and zero-free density marches place j = 0..SAMPLES - 1 on every hit ray."""
         placed = []
         sample_points = _render_np._sample_points
 
@@ -915,6 +916,53 @@ class TestRayIntervals:
         full, _ = render(grid, camera(), light_table(), want_cache=True, **kwargs)
         for name in FIELDS:
             assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes()
+
+
+class TestSdfSelection:
+    """An SDF march gathers the samples whose cell has a corner at or below one limit L,
+    taken at the largest dt of the hit rays; a per-ray limit at each ray's own dt, the rule
+    it replaced, keeps none that it does not."""
+
+    @given(n=st.sampled_from([8, 16]), radius=st.floats(0.02, 0.45),
+           centre=st.tuples(*[st.floats(-0.3, 0.3)] * 3), alpha=st.floats(5.0, 300.0),
+           beta=st.floats(0.002, 0.05), elevation=st.floats(-89.0, 89.0),
+           azimuth=st.floats(0.0, 359.0), distance=st.floats(0.05, 3.0),
+           fov=st.floats(20.0, 120.0), keep_march=st.booleans(),
+           jitter_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_keeps_every_sample_of_the_per_ray_rule(self, n, radius, centre, alpha, beta,
+                                                    elevation, azimuth, distance, fov,
+                                                    keep_march, jitter_seed):
+        x = np.linspace(-0.5, 0.5, n)
+        coords = np.meshgrid(x, x, x, indexing="ij")
+        r = np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(coords, centre)))
+        grid = SceneGrid("sdf", r - radius, np.full((n, n, n, 3), 0.5), sdf_alpha=alpha,
+                         sdf_beta=beta)
+        cam = Camera(CameraPose(elevation, azimuth), distance, width=8, height=8, fov_deg=fov)
+        origin, dirs = camera_rays(cam)
+        t0, t1, hit = intersect_unit_cube(origin, dirs)
+        pix = np.flatnonzero(hit)
+        dirs, t0, t1 = dirs.reshape(-1, 3)[pix], t0.ravel()[pix], t1.ravel()[pix]
+        dt = (t1 - t0) / SAMPLES
+        # Every stratum of every hit ray, and its cell's smallest corner.
+        t = _render_np._sample_points(pix, t0, dt, np.arange(SAMPLES), jitter_seed)
+        corners = [grid.field[dx:n - 1 + dx, dy:n - 1 + dy, dz:n - 1 + dz]
+                   for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+        s_min = np.min(corners, axis=0).reshape(-1)[
+            _render_np._cell_index(origin, dirs[:, None], t, n)]
+        log_eps = np.log(_render_np._EPS)
+        per_ray = s_min <= beta * (np.log(alpha * dt) - log_eps)[:, None]
+        with np.errstate(divide="ignore"):  # ln 0 when no ray hits
+            one_limit = s_min <= beta * (np.log(alpha * dt.max(initial=0.0)) - log_eps)
+
+        rays, j, keep, rows, got_t, _ = _render_np._placement(
+            grid, origin, dirs, t0, t1, dt, pix, SAMPLES, jitter_seed, keep_march)
+        ray, stratum = np.arange(len(pix))[rays][rows], j[keep % len(j)]
+        gathered = np.zeros(t.shape, dtype=bool)
+        gathered[ray, stratum] = True
+        assert not (per_ray & ~gathered).any()
+        assert np.array_equal(gathered, one_limit)
+        assert got_t.tobytes() == t[ray, stratum].tobytes()
 
 
 class TestNormalsRoute:
@@ -999,39 +1047,66 @@ class TestBoundedErrorMarch:
     @pytest.mark.parametrize("jitter_seed", [0, 5])
     @pytest.mark.parametrize("pose", [(20.0, 35.0), (-40.0, 200.0), (75.0, 120.0)])
     def test_within_the_written_bound(self, monkeypatch, pose, jitter_seed):
-        grid = scene("sharp-sdf", n=16)
-        cam = camera(16, *pose)
+        self.check_bound(monkeypatch, scene("sharp-sdf", n=16), camera(16, *pose), jitter_seed,
+                         keep=True)
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "forward-only"])
+    def test_within_the_written_bound_on_a_narrow_box(self, monkeypatch, keep):
+        """A small sphere, whose box leaves out rays and strata: backward and the sample
+        normals must read the march's own window."""
+        self.check_bound(monkeypatch, scene("sharp-sdf", n=16, radius=0.12), camera(16), 0,
+                         keep=keep, narrow=True)
+
+    @staticmethod
+    def check_bound(monkeypatch, grid, cam, jitter_seed, keep, narrow=False):
         light = light_table()
         rng = np.random.default_rng(jitter_seed)
         shape = (cam.height, cam.width)
         g_rgb, g_mask, g_depth, g_illum = (
             rng.standard_normal(shape + (3,)), rng.standard_normal(shape),
             rng.standard_normal(shape), rng.standard_normal(shape))
-        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND, jitter_seed=jitter_seed,
-                      want_cache=True)
+        kwargs = dict(samples_per_ray=SAMPLES, background=BACKGROUND, jitter_seed=jitter_seed)
+        kept = dict(want_cache=True, want_sample_normals=True)
         eps = _render_np._EPS
-        out, cache = render(grid, cam, light, **kwargs)
+        if keep:
+            out, cache, normals = render(grid, cam, light, **kwargs, **kept)
+        else:
+            out = render(grid, cam, light, **kwargs)
         g_depth = np.where(out.valid, g_depth, 0.0)
-        grads = render_backward(cache, g_rgb, g_mask, g_depth, g_illum)
+        if keep:
+            grads = render_backward(cache, g_rgb, g_mask, g_depth, g_illum)
         monkeypatch.setattr(_render_np, "_EPS", 0.0)
-        ref, ref_cache = render(grid, cam, light, **kwargs)
+        ref, ref_cache, ref_normals = render(grid, cam, light, **kwargs, **kept)
         ref_grads = render_backward(ref_cache, g_rgb, g_mask, g_depth, g_illum)
 
         n_rays = ref_cache.ridx.size
         assert ref_cache.march.op.shape[0] == n_rays * SAMPLES
-        assert cache.march.op.shape[0] < n_rays * SAMPLES
-        # What was dropped had opacity or transmittance below eps.
-        dropped = np.ones(n_rays * SAMPLES, dtype=bool)
-        dropped[cache.march.keep] = False
-        # The reference gathers every sample, so its packed opacities are the dense ones;
-        # the sparse march's transmittance before each sample is rebuilt from its packed
-        # opacities, 0 where not gathered.
-        a = np.zeros(n_rays * SAMPLES)
-        a[cache.march.keep] = cache.march.a
-        trans = np.cumprod(1.0 - a.reshape(n_rays, SAMPLES), axis=1)
-        t_exc = np.concatenate([np.ones((n_rays, 1)), trans[:, :-1]], axis=1).ravel()
-        negligible = (ref_cache.march.a < eps) | (t_exc < eps)
-        assert np.all(negligible[dropped])
+        if keep:
+            m = cache.march
+            assert m.op.shape[0] < n_rays * SAMPLES
+            assert (m.j.size < SAMPLES and cache.ridx.size < n_rays) == narrow
+            # Each gathered sample's position in the full march, which has every hit ray.
+            rows, col = np.divmod(m.keep, m.j.size)
+            full = np.searchsorted(ref_cache.ridx, cache.ridx[rows]) * SAMPLES + m.j[col]
+            assert np.array_equal(ref_cache.ridx[full // SAMPLES], cache.ridx[rows])
+            # What was dropped had opacity or transmittance below eps.
+            dropped = np.ones(n_rays * SAMPLES, dtype=bool)
+            dropped[full] = False
+            # The reference gathers every sample, so its packed opacities are the dense ones;
+            # the sparse march's transmittance before each sample is rebuilt from its packed
+            # opacities, 0 where not gathered.
+            a = np.zeros(n_rays * SAMPLES)
+            a[full] = m.a
+            trans = np.cumprod(1.0 - a.reshape(n_rays, SAMPLES), axis=1)
+            t_exc = np.concatenate([np.ones((n_rays, 1)), trans[:, :-1]], axis=1).ravel()
+            negligible = (ref_cache.march.a < eps) | (t_exc < eps)
+            assert np.all(negligible[dropped])
+            # The sample normals of the gathered samples are the full march's, at their own
+            # pixel and stratum, and 0 elsewhere.
+            gathered = np.zeros(normals.shape[:3], dtype=bool)
+            gathered.reshape(-1)[ref_cache.ridx[full // SAMPLES] * SAMPLES + full % SAMPLES] = True
+            assert normals[gathered].tobytes() == ref_normals[gathered].tobytes()
+            np.testing.assert_array_equal(normals[~gathered], 0.0)
         np.testing.assert_array_equal(out.valid, ref.valid)
         miss = ~intersect_unit_cube(*camera_rays(cam))[2]
         for name in FIELDS:
@@ -1039,7 +1114,7 @@ class TestBoundedErrorMarch:
 
         def rays(image):
             """The hit rays' rows of a (height, width[, c]) image."""
-            return image.reshape((-1,) + image.shape[2:])[cache.ridx]
+            return image.reshape((-1,) + image.shape[2:])[ref_cache.ridx]
 
         new, old = ({name: rays(getattr(b, name)) for name in FIELDS} for b in (out, ref))
         grgb, gm, gd, gi = (rays(g) for g in (g_rgb, g_mask, g_depth, g_illum))
@@ -1066,6 +1141,8 @@ class TestBoundedErrorMarch:
         d_normal = 2 * np.sqrt(3) * d_depth[valid] * jump / (grid.spacing
                                                              * np.linalg.norm(g, axis=-1))
         assert np.all(np.linalg.norm(new["normal"] - old["normal"], axis=-1)[valid] <= d_normal)
+        if not keep:
+            return
 
         # Gradients: per-sample bounds of each ray, through the full march's operators.
         m0 = np.where(valid, mask - eta, 1.0)

@@ -235,6 +235,14 @@ class TestShadeAndLoss:
         with pytest.raises(ValueError):
             illum_loss(np.zeros((4, 4, 3)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["image", "illum"])
+    def test_illum_loss_rejects_non_finite(self, where, value):
+        image, illum = np.full((3, 3, 3), 0.5), np.full((3, 3), 0.3)
+        {"image": image, "illum": illum}[where][1, 2] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            illum_loss(image, illum)
+
 
 class TestMcSphereIntegral:
     def test_constant_function(self):

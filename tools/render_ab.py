@@ -20,6 +20,13 @@ allocations set, as well as on the code: one tree has read 160 faults per op
 in one worker and 0 in the other.  One run therefore cannot show that a change
 takes no extra faults.
 
+The ratio carries a bias of several percent that depends on which checkout
+runs the tool: the same two sampler ops read 0.92-0.96 (parent/change) from
+the parent's checkout and 1.00-1.02 (change/parent) from the change's, while
+interleaved in one process they read 1.00.  Its cause is not known.  A claim
+needs runs in both directions: this tool run from each checkout, with the
+other as OTHER_CHECKOUT.
+
 Cases:
 
 - ``orbit_fit_sdf64``, ``orbit_view_density128``, ``envmap_fit`` and
@@ -30,8 +37,8 @@ Cases:
 - ``kept_density128``: ``orbit_view_density128``'s grid rendered with its
   march kept and then differentiated, which also gathers every sample;
 - ``sdf_view64``: a forward-only render of ``orbit_fit_sdf64``'s views, whose
-  march places every stratum and gathers the samples that pass the SDF cell
-  test, with no backward pass.
+  march places the strata of its SDF mask's box and gathers the samples of
+  the mask's cells, with no backward pass.
 
 The benchmark's seed-1 set-up serves every case.
 """
